@@ -222,8 +222,12 @@ def _manifest(cfg: RunConfig, derived: dict | None = None) -> dict:
 
 
 def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, svg_specs) -> None:
-    """Write manifest.json plus the requested csv/json/svg files for one run."""
-    write_json(cfg.output_dir / "manifest.json", manifest)
+    """Write the requested csv/json/svg files, then manifest.json.
+
+    An earlier manifest is removed first, so a run that fails part-way leaves none.
+    """
+    manifest_path = cfg.output_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     if "json" in cfg.formats:
         write_json(cfg.output_dir / f"{cfg.command}_{name}.json",
                    {"manifest": manifest, "results": results})
@@ -234,6 +238,7 @@ def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, s
         for suffix, xs, ys, title, x_label, y_label in svg_specs:
             write_svg_polyline(cfg.output_dir / f"{cfg.command}_{suffix}.svg", xs, ys,
                                title=title, x_label=x_label, y_label=y_label)
+    write_json(manifest_path, manifest)
 
 
 def run_map_report(cfg: RunConfig) -> None:

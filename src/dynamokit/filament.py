@@ -10,11 +10,12 @@ for incompressible flow regardless of the sampled rates.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .maps import _quadratic_roots
 
 REGIME_SLOW = "slow"
 REGIME_FAST_CANDIDATE = "fast-candidate"
@@ -183,13 +184,7 @@ def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateRes
             + ("identically satisfied" if c == 0.0 else "unsatisfiable")
         )
         return GrowthRateResult((), REGIME_DEGENERATE, (), (), (note,))
-    bac = ba * c
-    sq = cmath.sqrt(complex(bac * bac - 4.0 * ba * c, 0.0))
-    x_pair = sorted(
-        ((-bac + sq) / (2.0 * ba), (-bac - sq) / (2.0 * ba)),
-        key=lambda z: (-z.real, -z.imag),
-    )
-    x_roots = (x_pair[0], x_pair[1])
+    x_roots = _quadratic_roots(ba, ba * c, c, key=lambda z: (-z.real, -z.imag))
     if eta == 0.0:
         residuals = tuple(_relative_residual(x, a, b, c) for x in x_roots)
         return GrowthRateResult((0j, 0j), REGIME_SLOW, residuals, x_roots)

@@ -136,7 +136,8 @@ class FrenetFrame:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.orthonormality_defect() > ORTHONORMALITY_TOL:
+        object.__setattr__(self, "_defect", _frame_defect(self.t, self.n, self.b))
+        if self._defect > ORTHONORMALITY_TOL:
             raise ValueError("frame is not orthonormal within tolerance")
         if float(np.max(np.abs(self.b - np.cross(self.t, self.n)))) > ORTHONORMALITY_TOL:
             raise ValueError("frame is not right-handed (b != t x n)")
@@ -148,16 +149,17 @@ class FrenetFrame:
 
     def orthonormality_defect(self) -> float:
         """Max deviation over the six unit-norm and orthogonality conditions."""
-        return _frame_defect(self.t, self.n, self.b)
+        return self._defect
+
+
+def _generator(kappa: float, tau: float) -> np.ndarray:
+    """Skew matrix A with (t, n, b)' = A (t, n, b), the triad stacked as rows."""
+    return np.array([[0.0, kappa, 0.0], [-kappa, 0.0, tau], [0.0, -tau, 0.0]])
 
 
 def frenet_rhs(frame: FrenetFrame, kappa: float, tau: float):
     """Arclength derivatives (t' = kappa n, n' = -kappa t + tau b, b' = -tau n)."""
-    return (
-        kappa * frame.n,
-        -kappa * frame.t + tau * frame.b,
-        -tau * frame.n,
-    )
+    return tuple(_generator(kappa, tau) @ np.array([frame.t, frame.n, frame.b]))
 
 
 def time_evolution_rhs(frame: FrenetFrame, kappa: float, kappa_prime: float, tau: float):
@@ -200,15 +202,13 @@ def integrate_frame(
     s_end: float,
     step: float,
     initial: FrenetFrame,
-    *,
-    reorthonormalize_tol: float = ORTHONORMALITY_TOL,
 ) -> FrameTrajectory:
     """Fixed-step RK4 transport of a Frenet frame over [s_start, s_end].
 
     The frame is sampled after every step; a shortened final step lands
     exactly on s_end when the span is not an integer number of steps.
-    Orthonormality drift beyond reorthonormalize_tol triggers a
-    Gram-Schmidt re-orthonormalisation, recorded in the trajectory.
+    Orthonormality drift beyond ORTHONORMALITY_TOL triggers a Gram-Schmidt
+    re-orthonormalisation, recorded in the trajectory.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -216,21 +216,18 @@ def integrate_frame(
         raise ValueError("s_end must not precede s_start")
 
     def coeff(s: float) -> np.ndarray:
-        k = profile.kappa_at(s)
-        tau = profile.tau_at(s)
-        return np.array([[0.0, k, 0.0], [-k, 0.0, tau], [0.0, -tau, 0.0]])
+        return _generator(profile.kappa_at(s), profile.tau_at(s))
 
     span = s_end - s_start
     n_full = int(math.floor(span / step + 1e-12))
     remainder = span - n_full * step
-    steps = [step] * n_full
-    if remainder > 1e-12 * max(1.0, abs(span)):
-        steps.append(remainder)
+    n_steps = n_full + (remainder > 1e-12 * max(1.0, abs(span)))
 
     y = np.array([initial.t, initial.n, initial.b])
     trajectory = FrameTrajectory(samples=[(s_start, initial)])
     s = s_start
-    for i, h in enumerate(steps):
+    for i in range(n_steps):
+        h = step if i < n_full else remainder
         a0 = coeff(s)
         a_mid = coeff(s + 0.5 * h)
         a1 = coeff(s + h)
@@ -239,10 +236,10 @@ def integrate_frame(
         k3 = a_mid @ (y + 0.5 * h * k2)
         k4 = a1 @ (y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = s_end if i == len(steps) - 1 else s_start + (i + 1) * step
+        s = s_end if i == n_steps - 1 else s_start + (i + 1) * step
         defect = _frame_defect(y[0], y[1], y[2])
         trajectory.max_defect = max(trajectory.max_defect, defect)
-        if defect > reorthonormalize_tol:
+        if defect > ORTHONORMALITY_TOL:
             trajectory.reorthonormalizations.append((s, defect))
             y = _gram_schmidt(y)
         trajectory.samples.append((s, FrenetFrame(y[0], y[1], y[2])))

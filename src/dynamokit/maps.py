@@ -154,6 +154,13 @@ def make_thin_tube_map(tau0: float) -> LinearTorusMap:
     return make_tube_twist_map(tau0, 1.0)
 
 
+def _quadratic_roots(c2: float, c1: float, c0: float, key) -> tuple[complex, complex]:
+    """Both roots of c2 x^2 + c1 x + c0 = 0 (c2 != 0) in closed form, sorted by key."""
+    sq = cmath.sqrt(complex(c1 * c1 - 4.0 * c2 * c0, 0.0))
+    pair = sorted(((-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)), key=key)
+    return (pair[0], pair[1])
+
+
 def classify(m: LinearTorusMap) -> MapClassification:
     """Exact spectral classification from the characteristic quadratic.
 
@@ -163,18 +170,14 @@ def classify(m: LinearTorusMap) -> MapClassification:
     """
     tr = m.trace
     det = m.determinant
-    sq = cmath.sqrt(complex(tr * tr - 4.0 * det, 0.0))
-    lams = sorted(
-        ((tr + sq) / 2.0, (tr - sq) / 2.0),
-        key=lambda lam: (-abs(lam), -lam.imag, -lam.real),
-    )
+    lams = _quadratic_roots(1.0, -tr, det, key=lambda lam: (-abs(lam), -lam.imag, -lam.real))
     if abs(abs(tr) - 2.0) <= PARABOLIC_TOL:
         kind = "parabolic"
     elif abs(tr) > 2.0:
         kind = "hyperbolic"
     else:
         kind = "elliptic"
-    return MapClassification(kind, (lams[0], lams[1]), det, tr)
+    return MapClassification(kind, lams, det, tr)
 
 
 def apply_map(m: LinearTorusMap, p: TorusPoint) -> TorusPoint:

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynamokit.cli import main
@@ -99,6 +100,21 @@ class TestTubeCommand:
 
     def test_nonpositive_r_min_exits_2(self, tmp_path):
         assert run("--command", "tube", "--out", str(tmp_path / "x"), "--r-min", "0") == 2
+
+    def test_failed_run_leaves_no_manifest(self, tmp_path):
+        # 1/r^2 overflows at r = 1e-300, so serialising the profiles fails
+        failing = ("--command", "tube", "--spacing", "linear", "--r-min", "1e-300",
+                   "--nodes", "16")
+        fresh = tmp_path / "fresh"
+        with np.errstate(all="ignore"):
+            assert run(*failing, "--out", str(fresh)) == 2
+        assert not (fresh / "manifest.json").exists()
+        reused = tmp_path / "reused"
+        assert run("--command", "tube", "--nodes", "16", "--out", str(reused)) == 0
+        assert (reused / "manifest.json").exists()
+        with np.errstate(all="ignore"):
+            assert run(*failing, "--out", str(reused)) == 2
+        assert not (reused / "manifest.json").exists()
 
 
 class TestFilamentCommand:

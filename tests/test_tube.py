@@ -326,6 +326,21 @@ class TestEigenproblems:
         assert problem.coefficients == (1.0, -1.0, -2.0)
         assert problem.provenance == "derived-elimination"
 
+    def test_symbolic_elimination_reproduces_the_constant(self):
+        # the two log-variable equations with independent symbols for the
+        # profile and its derivatives; poloidal - m * toroidal must cancel
+        # every derivative and growth term
+        m, g, v, v1, v2 = sp.symbols("m g v v1 v2")
+        poloidal = 2 * v + m * v1 + m * v2 - g * m * v
+        toroidal = (m - 1) * v + v1 + v2 - g * v
+        combo = sp.expand(poloidal - m * toroidal)
+        coefficient = combo.coeff(v)
+        assert sp.expand(combo - coefficient * v) == 0
+        poly = sp.Poly(sp.expand(-coefficient), m)
+        c2, c1, c0 = (float(c) for c in poly.all_coeffs())
+        derived = QuadraticEigenproblem(c2, c1, c0, "derived-elimination")
+        assert derived == eliminate_eigenvalue()
+
     def test_elimination_roots(self):
         roots = eliminate_eigenvalue().roots()
         assert roots[0] == 2.0 + 0j

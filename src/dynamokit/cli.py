@@ -15,9 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, filament, frenet, maps, tube
 from .reports import format_float, write_csv, write_json, write_svg_polyline
@@ -224,21 +228,30 @@ def _manifest(cfg: RunConfig, derived: dict | None = None) -> dict:
 def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, svg_specs) -> None:
     """Write the requested csv/json/svg files, then manifest.json.
 
-    An earlier manifest is removed first, so a run that fails part-way leaves none.
+    Every file is written into a staging directory inside the output directory
+    and moved into place only after all writers succeeded, the manifest last.
+    An earlier manifest is removed first, so a run that fails part-way leaves
+    neither a manifest nor any of its own outputs.
     """
     manifest_path = cfg.output_dir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    if "json" in cfg.formats:
-        write_json(cfg.output_dir / f"{cfg.command}_{name}.json",
-                   {"manifest": manifest, "results": results})
-    if "csv" in cfg.formats:
-        for suffix, header, rows in csv_specs:
-            write_csv(cfg.output_dir / f"{cfg.command}_{suffix}.csv", header, rows)
-    if "svg" in cfg.formats:
-        for suffix, xs, ys, title, x_label, y_label in svg_specs:
-            write_svg_polyline(cfg.output_dir / f"{cfg.command}_{suffix}.svg", xs, ys,
-                               title=title, x_label=x_label, y_label=y_label)
-    write_json(manifest_path, manifest)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=cfg.output_dir))
+    try:
+        if "json" in cfg.formats:
+            write_json(staging / f"{cfg.command}_{name}.json",
+                       {"manifest": manifest, "results": results})
+        if "csv" in cfg.formats:
+            for suffix, header, rows in csv_specs:
+                write_csv(staging / f"{cfg.command}_{suffix}.csv", header, rows)
+        if "svg" in cfg.formats:
+            for suffix, xs, ys, title, x_label, y_label in svg_specs:
+                write_svg_polyline(staging / f"{cfg.command}_{suffix}.svg", xs, ys,
+                                   title=title, x_label=x_label, y_label=y_label)
+        write_json(staging / manifest_path.name, manifest)
+        for path in sorted(staging.iterdir(), key=lambda path: path.name == manifest_path.name):
+            path.replace(cfg.output_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def run_map_report(cfg: RunConfig) -> None:
@@ -398,13 +411,13 @@ def run_frenet(cfg: RunConfig) -> None:
     trajectory = frenet.integrate_frame(
         profile, p["s-start"], p["s-end"], p["step"], frenet.FrenetFrame.canonical()
     )
-    rows = []
-    for s, frame in trajectory.samples:
-        rows.append((s, *frame.t, *frame.n, *frame.b, frame.orthonormality_defect()))
+    rows = np.column_stack(
+        (trajectory.arclengths, trajectory.frames.reshape(-1, 9), trajectory.defects)
+    ).tolist()
     rotation = frenet.accumulated_rotation_angle(trajectory)
     span = p["s-end"] - p["s-start"]
     results = {
-        "samples": len(trajectory.samples),
+        "samples": len(rows),
         "max_defect": trajectory.max_defect,
         "reorthonormalizations": [
             {"s": s, "defect": defect} for s, defect in trajectory.reorthonormalizations
@@ -445,7 +458,10 @@ def main(argv=None) -> int:
         print(f"error: cannot create output directory {cfg.output_dir}: {exc}", file=sys.stderr)
         return 3
     try:
-        _RUNNERS[cfg.command](cfg)
+        # The writers reject every non-finite output and name its file, column
+        # and row, so numpy's floating-point warnings would only repeat that.
+        with np.errstate(all="ignore"):
+            _RUNNERS[cfg.command](cfg)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

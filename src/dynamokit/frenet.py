@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
 from typing import Callable
@@ -19,9 +20,12 @@ from typing import Callable
 import numpy as np
 
 ORTHONORMALITY_TOL = 1e-8
+# Largest step count integrate_frame accepts (a trajectory stores 88 B per sample)
+MAX_STEPS = 10**7
 
 __all__ = [
     "ORTHONORMALITY_TOL",
+    "MAX_STEPS",
     "MetricDegeneracyWarning",
     "CurveProfile",
     "FrenetFrame",
@@ -171,21 +175,43 @@ def time_evolution_rhs(frame: FrenetFrame, kappa: float, kappa_prime: float, tau
     )
 
 
+class _FrameSamples(Sequence):
+    """Read-only (s, FrenetFrame) view of a trajectory; a frame is built and validated when read."""
+
+    def __init__(self, trajectory: "FrameTrajectory"):
+        self._trajectory = trajectory
+
+    def __len__(self) -> int:
+        return len(self._trajectory.arclengths)
+
+    def __getitem__(self, index: int) -> tuple[float, FrenetFrame]:
+        trajectory = self._trajectory
+        return float(trajectory.arclengths[index]), FrenetFrame(*trajectory.frames[index])
+
+
 @dataclass
 class FrameTrajectory:
-    """Frame samples along arclength plus the re-orthonormalisation event log."""
+    """Frame samples along arclength plus the re-orthonormalisation event log.
 
-    samples: list[tuple[float, FrenetFrame]]
+    Sample i is the triad ``frames[i]`` (rows t, n, b) at ``arclengths[i]``
+    with orthonormality defect ``defects[i]``; the arrays are read-only.
+    Frames are validated only where handed out: ``final_frame`` and the
+    items of ``samples``.
+    """
+
+    arclengths: np.ndarray
+    frames: np.ndarray
+    defects: np.ndarray
     reorthonormalizations: list[tuple[float, float]] = field(default_factory=list)
     max_defect: float = 0.0
 
     @property
-    def arclengths(self) -> np.ndarray:
-        return np.array([s for s, _ in self.samples])
+    def samples(self) -> Sequence[tuple[float, FrenetFrame]]:
+        return _FrameSamples(self)
 
     @property
     def final_frame(self) -> FrenetFrame:
-        return self.samples[-1][1]
+        return FrenetFrame(*self.frames[-1])
 
 
 def _gram_schmidt(y: np.ndarray) -> np.ndarray:
@@ -207,24 +233,36 @@ def integrate_frame(
 
     The frame is sampled after every step; a shortened final step lands
     exactly on s_end when the span is not an integer number of steps.
+    Non-finite bounds or step, and spans needing more than MAX_STEPS steps,
+    are rejected before anything is allocated.
     Orthonormality drift beyond ORTHONORMALITY_TOL triggers a Gram-Schmidt
     re-orthonormalisation, recorded in the trajectory.
     """
+    if not all(map(math.isfinite, (s_start, s_end, step))):
+        raise ValueError(f"s_start, s_end and step must be finite, got {s_start}, {s_end}, {step}")
     if step <= 0.0:
         raise ValueError("step must be positive")
     if s_end < s_start:
         raise ValueError("s_end must not precede s_start")
+    span = s_end - s_start
+    requested = span / step
+    if not requested <= MAX_STEPS:
+        raise ValueError(f"{requested:.6g} steps requested; at most {MAX_STEPS} are allowed")
 
     def coeff(s: float) -> np.ndarray:
         return _generator(profile.kappa_at(s), profile.tau_at(s))
 
-    span = s_end - s_start
-    n_full = int(math.floor(span / step + 1e-12))
+    n_full = int(math.floor(requested + 1e-12))
     remainder = span - n_full * step
     n_steps = n_full + (remainder > 1e-12 * max(1.0, abs(span)))
 
+    arclengths = np.empty(n_steps + 1)
+    frames = np.empty((n_steps + 1, 3, 3))
+    defects = np.empty(n_steps + 1)
     y = np.array([initial.t, initial.n, initial.b])
-    trajectory = FrameTrajectory(samples=[(s_start, initial)])
+    arclengths[0], frames[0], defects[0] = s_start, y, initial.orthonormality_defect()
+    reorthonormalizations = []
+    max_defect = 0.0
     s = s_start
     for i in range(n_steps):
         h = step if i < n_full else remainder
@@ -238,12 +276,18 @@ def integrate_frame(
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s = s_end if i == n_steps - 1 else s_start + (i + 1) * step
         defect = _frame_defect(y[0], y[1], y[2])
-        trajectory.max_defect = max(trajectory.max_defect, defect)
+        max_defect = max(max_defect, defect)
         if defect > ORTHONORMALITY_TOL:
-            trajectory.reorthonormalizations.append((s, defect))
+            reorthonormalizations.append((s, defect))
             y = _gram_schmidt(y)
-        trajectory.samples.append((s, FrenetFrame(y[0], y[1], y[2])))
-    return trajectory
+            defect = _frame_defect(y[0], y[1], y[2])
+        # max() inside _frame_defect can pass over a NaN, so test the frame itself
+        if not np.isfinite(y).all():
+            raise ValueError(f"frame is not finite at s = {s!r}")
+        arclengths[i + 1], frames[i + 1], defects[i + 1] = s, y, defect
+    for array in (arclengths, frames, defects):
+        array.setflags(write=False)
+    return FrameTrajectory(arclengths, frames, defects, reorthonormalizations, max_defect)
 
 
 def accumulated_rotation_angle(trajectory: FrameTrajectory) -> float:
@@ -254,9 +298,7 @@ def accumulated_rotation_angle(trajectory: FrameTrajectory) -> float:
     endpoint comparison would suffer.
     """
     total = 0.0
-    for (_, f0), (_, f1) in pairwise(trajectory.samples):
-        m0 = np.array([f0.t, f0.n, f0.b])
-        m1 = np.array([f1.t, f1.n, f1.b])
+    for m0, m1 in pairwise(trajectory.frames):
         rot = m1.T @ m0
         cos_term = (np.trace(rot) - 1.0) / 2.0
         skew = 0.5 * np.array(

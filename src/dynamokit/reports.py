@@ -82,12 +82,23 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path: Path, header, rows) -> None:
-    """Write a quoted-as-needed CSV with a header row and 17-digit floats."""
+    """Write a quoted-as-needed CSV with a header row and 17-digit floats.
+
+    A non-finite cell raises ValueError naming the file, column and data row.
+    """
+    header = list(header)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+        writer.writerow(header)
+        for number, row in enumerate(rows, start=1):
+            cells = []
+            try:
+                for cell in row:
+                    cells.append(_format_cell(cell))
+            except ValueError as exc:
+                raise ValueError(f"{Path(path).name}: column {header[len(cells)]!r}, "
+                                 f"data row {number}: {exc}") from exc
+            writer.writerow(cells)
 
 
 def _svg_num(x: float) -> str:

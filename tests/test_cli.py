@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynamokit
+from dynamokit import frenet
 from dynamokit.cli import main
 
 GOLDEN = 1.618033988749895
@@ -116,6 +121,19 @@ class TestTubeCommand:
             assert run(*failing, "--out", str(reused)) == 2
         assert not (reused / "manifest.json").exists()
 
+    def test_failed_run_leaves_no_outputs_and_names_the_column(self, tmp_path):
+        out = tmp_path / "failed"
+        env = dict(os.environ, PYTHONPATH=str(Path(dynamokit.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "dynamokit", "--command", "tube", "--spacing", "linear",
+             "--r-min", "1e-300", "--nodes", "16", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "residual_poloidal" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert list(out.iterdir()) == []
+
 
 class TestFilamentCommand:
     def test_zero_torsion_verdict_planar(self, tmp_path):
@@ -168,6 +186,30 @@ class TestFrenetCommand:
 
     def test_nonpositive_step_exits_2(self, tmp_path):
         assert run("--command", "frenet", "--out", str(tmp_path / "x"), "--step", "0") == 2
+
+    @pytest.mark.parametrize("flag,value", [("--step", "1e-320"), ("--s-end", "inf"),
+                                            ("--step", "nan"), ("--step", "1e-9")])
+    def test_unbounded_or_non_finite_span_exits_2(self, tmp_path, flag, value):
+        out = tmp_path / "x"
+        assert run("--command", "frenet", "--out", str(out), flag, value) == 2
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv,events", [
+        (["--s-end", "1", "--step", "0.01"], False),
+        (["--kappa0", "3", "--tau0", "0", "--step", "0.05", "--s-end", "10"], True),
+    ], ids=["helix", "reorthonormalised"])
+    def test_defect_column_is_the_trajectory_defects(self, tmp_path, argv, events):
+        out = tmp_path / "run"
+        assert run("--command", "frenet", "--out", str(out), *argv) == 0
+        p = read_json(out / "manifest.json")["parameters"]
+        traj = frenet.integrate_frame(
+            frenet.CurveProfile.constant(float(p["kappa0"]), float(p["tau0"])),
+            float(p["s-start"]), float(p["s-end"]), float(p["step"]),
+            frenet.FrenetFrame.canonical(),
+        )
+        _, rows = read_csv(out / "frenet_frames.csv")
+        assert [float(row[-1]) for row in rows] == traj.defects.tolist()
+        assert bool(traj.reorthonormalizations) == events
 
 
 class TestConfigAndDeterminism:

@@ -157,6 +157,57 @@ class TestIntegrateFrame:
                 CurveProfile.constant(1.0, 0.0), 0.0, 1.0, -0.1, FrenetFrame.canonical()
             )
 
+    def test_samples_view_over_arrays(self):
+        traj = integrate_frame(
+            CurveProfile.constant(1.0, 1.0), 0.0, 1.0, 0.1, helix_frame(1.0, 1.0, 0.0)
+        )
+        assert traj.frames.shape == (11, 3, 3)
+        assert len(traj.samples) == len(traj.arclengths) == len(traj.defects) == 11
+        s, last = traj.samples[-1]
+        assert isinstance(last, FrenetFrame)
+        assert s == 1.0
+        np.testing.assert_array_equal(np.array([last.t, last.n, last.b]), traj.frames[-1])
+        frames = [frame for _, frame in traj.samples]
+        assert len(frames) == 11 and all(isinstance(f, FrenetFrame) for f in frames)
+        assert [f.orthonormality_defect() for f in frames] == traj.defects.tolist()
+        assert not traj.frames.flags.writeable
+
+    def test_samples_items_are_validated_when_read(self):
+        traj = integrate_frame(
+            CurveProfile.constant(1.0, 0.0), 0.0, 1.0, 0.5, FrenetFrame.canonical()
+        )
+        broken = traj.frames.copy()
+        broken[-1, 2] *= -1.0
+        traj.frames = broken
+        assert len(traj.samples) == 3
+        assert isinstance(traj.samples[0][1], FrenetFrame)
+        with pytest.raises(ValueError):
+            traj.samples[-1]
+        with pytest.raises(ValueError):
+            traj.final_frame
+
+    def test_coarse_run_defects_follow_reorthonormalization(self):
+        traj = integrate_frame(
+            CurveProfile.constant(3.0, 0.0), 0.0, 40.0, 0.5, FrenetFrame.canonical()
+        )
+        assert len(traj.samples) == 81
+        assert traj.reorthonormalizations
+        assert traj.max_defect == max(defect for _, defect in traj.reorthonormalizations)
+        assert float(traj.defects.max()) <= 1e-8
+
+    def test_non_finite_frame_is_rejected(self):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            integrate_frame(CurveProfile.constant(1e200, 0.0), 0, 1, 0.5, FrenetFrame.canonical())
+
+    @pytest.mark.parametrize("s_start,s_end,step", [
+        (0.0, 10.0, 1e-320), (0.0, math.inf, 1e-3), (math.nan, 1.0, 0.1),
+        (0.0, 10.0, math.nan), (0.0, 10.0, 1e-9), (-1e308, 1e308, 1.0),
+    ])
+    def test_rejects_non_finite_or_oversized_spans(self, s_start, s_end, step):
+        with pytest.raises(ValueError):
+            integrate_frame(CurveProfile.constant(1.0, 0.0), s_start, s_end, step,
+                            FrenetFrame.canonical())
+
     def test_rejects_negative_curvature(self):
         with pytest.raises(ValueError):
             integrate_frame(

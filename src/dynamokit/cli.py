@@ -28,21 +28,21 @@ from .reports import format_float, write_csv, write_json, write_svg_polyline
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _FORMATS = ("csv", "json", "svg")
+# Largest row count a table flag may request; each row costs work and memory
+# in the kernel and in every writer, so larger requests are rejected up front.
+MAX_TABLE_ROWS = 10**6
+_TABLE_FLAGS = ("nodes", "growth-steps", "orbit-steps")
 
-__all__ = ["InputError", "RunConfig", "main"]
+__all__ = ["InputError", "MAX_TABLE_ROWS", "RunConfig", "main"]
 
 
 class InputError(ValueError):
     """User-supplied configuration is invalid (exit code 2)."""
 
 
-def _eta_list(raw) -> tuple[float, ...]:
-    if isinstance(raw, (tuple, list)):
-        return tuple(float(x) for x in raw)
-    text = str(raw).strip()
-    if not text:
-        return ()
-    return tuple(float(token) for token in text.split(","))
+def _eta_list(raw: str) -> tuple[float, ...]:
+    text = raw.strip()
+    return tuple(float(token) for token in text.split(",")) if text else ()
 
 
 # flag -> (converter, default, help); converters also parse config-file strings
@@ -202,6 +202,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 raise InputError(f"invalid value for --{key}: {merged[key]!r}") from exc
         else:
             parameters[key] = default
+        if key in _TABLE_FLAGS and parameters[key] > MAX_TABLE_ROWS:
+            raise InputError(f"--{key} must be at most {MAX_TABLE_ROWS}, got {parameters[key]}")
     return RunConfig(command, parameters, Path(out), formats)
 
 
@@ -274,11 +276,8 @@ def run_map_report(cfg: RunConfig) -> None:
     classification = maps.classify(torus_map)
     seed = maps.FieldVector(p["seed-u"], p["seed-v"])
 
-    growth_rows = []
-    for n in range(1, p["growth-steps"] + 1):
-        growth_rows.append(
-            (n, maps.growth_rate(torus_map, seed, n), maps.growth_rate_per_step(torus_map, seed, n))
-        )
+    growth_rows = [(n, *rates) for n, rates in
+                   enumerate(maps._growth_table(torus_map, seed, p["growth-steps"]), start=1)]
     orbit = maps.iterate_orbit(
         torus_map, maps.TorusPoint(p["orbit-x"], p["orbit-y"]), p["orbit-steps"]
     )
@@ -354,23 +353,19 @@ def run_filament_sweep(cfg: RunConfig) -> None:
     etas = p["eta"]
     if not etas:
         raise InputError("eta sweep list must be nonempty")
-    param_sets = [
-        filament.FilamentParams(
-            eta=eta, kappa=p["kappa"], kappa_prime=p["kappa-prime"], k0=p["k0"],
-            v0=p["v0"], tau=p["tau"], gamma_ref=p["gamma-ref"],
-        )
-        for eta in etas
-    ]
-    coef_a, coef_b, coef_c = param_sets[0].A, param_sets[0].B, param_sets[0].C
-    solutions = [filament.solve_growth_rate(fp.eta, coef_a, coef_b, coef_c)
-                 for fp in param_sets]
+    params = filament.FilamentParams(
+        eta=etas[0], kappa=p["kappa"], kappa_prime=p["kappa-prime"], k0=p["k0"],
+        v0=p["v0"], tau=p["tau"], gamma_ref=p["gamma-ref"],
+    )
+    coef_a, coef_b, coef_c = params.A, params.B, params.C
+    solutions = [filament.solve_growth_rate(eta, coef_a, coef_b, coef_c) for eta in etas]
 
     rows = []
     samples = []
-    for fp, sol in zip(param_sets, solutions):
+    for eta, sol in zip(etas, solutions):
         gammas = list(sol.roots) + [None] * (2 - len(sol.roots))
         rows.append((
-            fp.eta,
+            eta,
             None if gammas[0] is None else gammas[0].real,
             None if gammas[0] is None else gammas[0].imag,
             None if gammas[1] is None else gammas[1].real,
@@ -378,14 +373,14 @@ def run_filament_sweep(cfg: RunConfig) -> None:
             sol.regime,
         ))
         if sol.roots:
-            samples.append((fp.eta, sol.roots[0]))
+            samples.append((eta, sol.roots[0]))
     tau = p["tau"]
     distinct = len({eta for eta, _ in samples})
     if tau == 0.0 or distinct >= 3:
         verdict = filament.classify_dynamo(samples, tau)
     else:
         verdict = None
-    induction = filament.build_filament_matrix(param_sets[0])
+    induction = filament.build_filament_matrix(params)
     results = {
         "coefficients": {"A": coef_a, "B": coef_b, "C": coef_c},
         "matrix_at_first_eta": [list(row) for row in induction.matrix.tolist()],
@@ -464,6 +459,9 @@ def main(argv=None) -> int:
             _RUNNERS[cfg.command](cfg)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)

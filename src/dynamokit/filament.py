@@ -22,6 +22,10 @@ REGIME_FAST_CANDIDATE = "fast-candidate"
 REGIME_NON_DYNAMO_PLANAR = "non-dynamo-planar"
 REGIME_DEGENERATE = "degenerate"
 
+# classify_dynamo's slow verdict: |intercept| and max fit residual below these
+_INTERCEPT_TOL = 1e-10
+_RESIDUAL_TOL = 1e-8
+
 __all__ = [
     "REGIME_SLOW",
     "REGIME_FAST_CANDIDATE",
@@ -175,6 +179,8 @@ def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateRes
     and omitted from the roots.  BA = 0 leaves no quadratic: the condition
     degenerates to C = 0, labelled degenerate either way.
     """
+    if not math.isfinite(eta):
+        raise ValueError("parameter eta must be finite")
     if eta < 0.0:
         raise ValueError("diffusivity eta must be nonnegative")
     ba = b * a
@@ -204,19 +210,13 @@ def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateRes
     return GrowthRateResult(tuple(roots), regime, tuple(residuals), x_roots, tuple(notes))
 
 
-def classify_dynamo(
-    samples,
-    tau: float,
-    *,
-    intercept_tol: float = 1e-10,
-    residual_tol: float = 1e-8,
-) -> str:
+def classify_dynamo(samples, tau: float) -> str:
     """Label a gamma(eta) sweep: planar rule first, then the eta -> 0 intercept.
 
     Zero torsion means a planar incompressible flow, hence non-dynamo-planar
     regardless of the samples.  Otherwise a linear fit gamma = s eta + g0
-    decides: |g0| < intercept_tol with max fit residual < residual_tol is
-    slow; a positive extrapolated intercept is fast-candidate; anything else
+    decides: |g0| < 1e-10 with max fit residual < 1e-8 is slow; an
+    extrapolated intercept above 1e-10 is fast-candidate; anything else
     is degenerate (the samples do not support a verdict).  Complex rates are
     fitted through their real parts.
     """
@@ -229,8 +229,8 @@ def classify_dynamo(
         raise ValueError("need at least 3 samples with distinct eta")
     slope, intercept = np.polyfit(etas, gammas, 1)
     fit_residual = float(np.max(np.abs(slope * etas + intercept - gammas)))
-    if abs(intercept) < intercept_tol and fit_residual < residual_tol:
+    if abs(intercept) < _INTERCEPT_TOL and fit_residual < _RESIDUAL_TOL:
         return REGIME_SLOW
-    if intercept > intercept_tol:
+    if intercept > _INTERCEPT_TOL:
         return REGIME_FAST_CANDIDATE
     return REGIME_DEGENERATE

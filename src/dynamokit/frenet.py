@@ -22,6 +22,10 @@ import numpy as np
 ORTHONORMALITY_TOL = 1e-8
 # Largest step count integrate_frame accepts (a trajectory stores 88 B per sample)
 MAX_STEPS = 10**7
+# Central-difference step for dkappa/ds when no analytic derivative is given
+_FD_STEP = 1e-5
+# Fewest Simpson nodes twist_angle uses for a variable torsion
+_SIMPSON_MIN_NODES = 101
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -57,18 +61,15 @@ class CurveProfile:
 
     kappa and tau accept a constant or a callable of arclength.  When no
     analytic derivative is supplied, dkappa/ds falls back to the central
-    difference (kappa(s+h) - kappa(s-h)) / 2h with h = fd_step, which is
+    difference (kappa(s+h) - kappa(s-h)) / 2h with h = 1e-5, which is
     consistent with kappa to order h^2.
     """
 
     kappa: object
     tau: object
     kappa_prime: object = None
-    fd_step: float = 1e-5
 
     def __post_init__(self):
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
         kappa_fn, kappa_const = _as_profile_function(self.kappa)
         tau_fn, tau_const = _as_profile_function(self.tau)
         if self.kappa_prime is not None:
@@ -76,7 +77,7 @@ class CurveProfile:
         elif kappa_const is not None:
             kp_fn = lambda s: 0.0  # noqa: E731 - constant curvature
         else:
-            h = self.fd_step
+            h = _FD_STEP
             kp_fn = lambda s: (kappa_fn(s + h) - kappa_fn(s - h)) / (2.0 * h)  # noqa: E731
         object.__setattr__(self, "_kappa_fn", kappa_fn)
         object.__setattr__(self, "_tau_fn", tau_fn)
@@ -308,18 +309,18 @@ def accumulated_rotation_angle(trajectory: FrameTrajectory) -> float:
     return total
 
 
-def twist_angle(theta_r: float, profile: CurveProfile, s: float, *, min_nodes: int = 101) -> float:
+def twist_angle(theta_r: float, profile: CurveProfile, s: float) -> float:
     """Twist angle theta_R - integral of tau from 0 to s.
 
     Constant torsion integrates exactly; otherwise composite Simpson with at
-    least min_nodes nodes, the panel count growing so the panel width stays
+    least 101 nodes, the panel count growing so the panel width stays
     at or below 1e-3.
     """
     if profile.tau_constant is not None:
         return theta_r - profile.tau_constant * s
     if s == 0.0:
         return theta_r
-    intervals = max(min_nodes - 1, 2 * math.ceil(abs(s) / 2e-3))
+    intervals = max(_SIMPSON_MIN_NODES - 1, 2 * math.ceil(abs(s) / 2e-3))
     if intervals % 2:
         intervals += 1
     nodes = np.linspace(0.0, s, intervals + 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -224,6 +225,17 @@ def _iterate_normalized(m: LinearTorusMap, f: FieldVector, n: int) -> list[float
     return ratios
 
 
+def _growth_table(m: LinearTorusMap, f: FieldVector, n: int) -> list[tuple[float, float]]:
+    """(growth_rate, growth_rate_per_step) for k = 1..n from one renormalised orbit.
+
+    The running log-sum adds left to right, as sum() did before Python 3.12
+    made float sums compensated, so every interpreter gives the same bits.
+    """
+    logs = [math.log(r) for r in _iterate_normalized(m, f, n)]
+    return [(total / k, log_r)
+            for k, (total, log_r) in enumerate(zip(accumulate(logs), logs), start=1)]
+
+
 def growth_rate(m: LinearTorusMap, f: FieldVector, n: int) -> float:
     """Time-averaged log stretching (1/n) ln(|M^n f| / |f|).
 
@@ -232,8 +244,7 @@ def growth_rate(m: LinearTorusMap, f: FieldVector, n: int) -> float:
     projection; see growth_rate_per_step for the geometrically convergent
     power-iteration estimate.
     """
-    ratios = _iterate_normalized(m, f, n)
-    return sum(math.log(r) for r in ratios) / n
+    return _growth_table(m, f, n)[-1][0]
 
 
 def growth_rate_per_step(m: LinearTorusMap, f: FieldVector, n: int) -> float:

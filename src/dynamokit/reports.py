@@ -15,6 +15,9 @@ import math
 from pathlib import Path
 
 FLOAT_FORMAT = ".17g"
+# SVG canvas size in pixels
+_SVG_WIDTH = 640
+_SVG_HEIGHT = 440
 
 __all__ = ["format_float", "json_dumps", "write_json", "write_csv", "write_svg_polyline"]
 
@@ -63,8 +66,34 @@ def json_dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
 
 
+def _first_unserialisable(obj, key_path: str) -> str | None:
+    """Key path of the first leaf json_dumps rejects, in output order, else None."""
+    if isinstance(obj, dict):
+        children = ((f"{key_path}.{key}" if key_path else str(key), value)
+                    for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{key_path}[{index}]", value) for index, value in enumerate(obj))
+    else:
+        try:
+            json_dumps(obj)
+        except ValueError:
+            return key_path
+        return None
+    for child_path, value in children:
+        found = _first_unserialisable(value, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def write_json(path: Path, obj) -> None:
-    Path(path).write_text(json_dumps(obj) + "\n", encoding="utf-8", newline="\n")
+    """Write obj as JSON; a non-finite value raises ValueError naming the file and key path."""
+    try:
+        text = json_dumps(obj)
+    except ValueError as exc:
+        key_path = _first_unserialisable(obj, "") or "top level"
+        raise ValueError(f"{Path(path).name}: {key_path}: {exc}") from exc
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def _format_cell(value) -> str:
@@ -113,8 +142,6 @@ def write_svg_polyline(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 640,
-    height: int = 440,
 ) -> None:
     """Minimal static plot: an axes box, extreme-value tick labels, one polyline."""
     xs = [float(x) for x in xs]
@@ -122,8 +149,8 @@ def write_svg_polyline(
     if len(xs) != len(ys) or not xs:
         raise ValueError("xs and ys must be equal-length, nonempty sequences")
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
+    plot_w = _SVG_WIDTH - margin_left - margin_right
+    plot_h = _SVG_HEIGHT - margin_top - margin_bottom
     x_min, x_max = min(xs), max(xs)
     y_min, y_max = min(ys), max(ys)
     if x_max == x_min:
@@ -141,10 +168,10 @@ def write_svg_polyline(
     x0, x1 = margin_left, margin_left + plot_w
     y0, y1 = margin_top, margin_top + plot_h
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.6g}" y="24" text-anchor="middle" font-size="15" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
+        f'<text x="{_SVG_WIDTH / 2:.6g}" y="24" text-anchor="middle" font-size="15" '
         f'font-family="sans-serif">{title}</text>',
         f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
@@ -156,7 +183,7 @@ def write_svg_polyline(
         f'font-family="sans-serif">{_svg_num(y_min)}</text>',
         f'<text x="{x0 - 6}" y="{y0 + 4}" text-anchor="end" font-size="11" '
         f'font-family="sans-serif">{_svg_num(y_max)}</text>',
-        f'<text x="{(x0 + x1) / 2:.6g}" y="{height - 12}" text-anchor="middle" '
+        f'<text x="{(x0 + x1) / 2:.6g}" y="{_SVG_HEIGHT - 12}" text-anchor="middle" '
         f'font-size="12" font-family="sans-serif">{x_label}</text>',
         f'<text x="16" y="{(y0 + y1) / 2:.6g}" text-anchor="middle" font-size="12" '
         f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) / 2:.6g})">{y_label}</text>',

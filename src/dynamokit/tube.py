@@ -111,16 +111,8 @@ class RadialGrid:
 
 
 def _samples_on(f, grid: RadialGrid) -> np.ndarray:
-    """Coerce a callable or an array to samples on the grid nodes."""
-    if callable(f):
-        try:
-            values = np.asarray(f(grid.nodes), dtype=float)
-        except (TypeError, ValueError):
-            values = np.array([float(f(r)) for r in grid.nodes])
-        if values.shape != grid.nodes.shape:
-            values = np.array([float(f(r)) for r in grid.nodes])
-        return values
-    values = np.asarray(f, dtype=float)
+    """Samples on the grid nodes: an array as given, a callable evaluated on the node array."""
+    values = np.asarray(f(grid.nodes) if callable(f) else f, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError(f"expected {grid.count} samples, got shape {values.shape}")
     return values
@@ -451,6 +443,8 @@ def pressure_blowup_check(field: TubeFlowField, r_sequence) -> str:
 
 
 _SEC_GUARD = 1e-9
+# beltrami_alignment: largest |omega x v| / (|omega| |v|) still counted as aligned
+_ALIGNMENT_TOL = 1e-10
 
 
 def vorticity(r: float, theta: float, kappa0: float, v_s: float) -> np.ndarray:
@@ -468,10 +462,10 @@ def vorticity(r: float, theta: float, kappa0: float, v_s: float) -> np.ndarray:
     return np.array([prefactor * cos_t, 0.0, -prefactor / cos_t])
 
 
-def beltrami_alignment(v, omega, *, rel_tol: float = 1e-10):
+def beltrami_alignment(v, omega):
     """Proportionality factor lam with omega = lam v, or None when not aligned.
 
-    Alignment requires |omega x v| <= rel_tol |omega| |v|; the returned factor
+    Alignment requires |omega x v| <= 1e-10 |omega| |v|; the returned factor
     is the least-squares projection (omega . v) / |v|^2.
     """
     v = np.asarray(v, dtype=float)
@@ -482,7 +476,7 @@ def beltrami_alignment(v, omega, *, rel_tol: float = 1e-10):
     norm_w = float(np.linalg.norm(w))
     if norm_w == 0.0:
         return 0.0
-    if float(np.linalg.norm(np.cross(w, v))) > rel_tol * norm_w * norm_v:
+    if float(np.linalg.norm(np.cross(w, v))) > _ALIGNMENT_TOL * norm_w * norm_v:
         return None
     return float(w @ v) / (norm_v * norm_v)
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import dynamokit
-from dynamokit import frenet
+from dynamokit import cli, frenet, maps
 from dynamokit.cli import main
+from dynamokit.reports import format_float
 
 GOLDEN = 1.618033988749895
 
@@ -64,6 +65,29 @@ class TestMapCommand:
 
     def test_invalid_map_name_exits_2(self, tmp_path):
         assert run("--command", "map", "--out", str(tmp_path / "x"), "--map", "nope") == 2
+
+    @pytest.mark.parametrize("argv,torus_map", [
+        (["--map", "cat-shear", "--shear-k", "2"], maps.make_cat_shear_map(2)),
+        (["--map", "tube-twist"], maps.make_tube_twist_map(-1.0, 1.0)),
+    ], ids=["cat-shear", "tube-twist"])
+    def test_growth_table_matches_the_library_bit_for_bit(self, tmp_path, argv, torus_map):
+        out = tmp_path / "table"
+        assert run("--command", "map", "--out", str(out), "--growth-steps", "300", *argv) == 0
+        _, rows = read_csv(out / f"map_{argv[1]}_growth.csv")
+        seed = maps.FieldVector(0.0, 1.0)
+        assert len(rows) == 300
+        for n, (index, average, per_step) in enumerate(rows, start=1):
+            assert index == str(n)
+            assert average == format_float(maps.growth_rate(torus_map, seed, n))
+            assert per_step == format_float(maps.growth_rate_per_step(torus_map, seed, n))
+
+    def test_non_finite_json_value_names_file_and_key(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("--command", "map", "--map", "tube-twist", "--k0", "1e300",
+                   "--growth-steps", "5", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "map_tube-twist.json: results.eigenvalues.real[0]" in err
+        assert list(out.iterdir()) == []
 
     def test_unwritable_output_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -121,6 +145,12 @@ class TestTubeCommand:
             assert run(*failing, "--out", str(reused)) == 2
         assert not (reused / "manifest.json").exists()
 
+    def test_overflow_exits_2_without_outputs(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("--command", "tube", "--omega0", "1e200", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: numerical overflow: ")
+        assert list(out.iterdir()) == []
+
     def test_failed_run_leaves_no_outputs_and_names_the_column(self, tmp_path):
         out = tmp_path / "failed"
         env = dict(os.environ, PYTHONPATH=str(Path(dynamokit.__file__).parents[1]))
@@ -162,6 +192,17 @@ class TestFilamentCommand:
 
     def test_nonpositive_stretch_exits_2(self, tmp_path):
         assert run("--command", "filament", "--out", str(tmp_path / "x"), "--k0", "0") == 2
+
+    @pytest.mark.parametrize("etas,message", [
+        ("0.1,nan", "parameter eta must be finite"),
+        ("0.1,inf", "parameter eta must be finite"),
+        ("0.1,-1", "diffusivity eta must be nonnegative"),
+    ])
+    def test_invalid_later_eta_exits_2(self, tmp_path, capsys, etas, message):
+        out = tmp_path / "x"
+        assert run("--command", "filament", "--out", str(out), "--eta", etas) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "manifest.json").exists()
 
 
 class TestFrenetCommand:
@@ -274,3 +315,14 @@ class TestConfigAndDeterminism:
 
     def test_missing_command_exits_2(self, tmp_path):
         assert run("--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("command,flag", [
+        ("tube", "--nodes"), ("map", "--growth-steps"), ("map", "--orbit-steps"),
+    ])
+    def test_table_flag_above_the_limit_exits_2(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "x"
+        too_many = str(cli.MAX_TABLE_ROWS + 1)
+        assert run("--command", command, "--out", str(out), flag, too_many) == 2
+        err = capsys.readouterr().err
+        assert flag in err and str(cli.MAX_TABLE_ROWS) in err
+        assert not out.exists()

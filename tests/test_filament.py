@@ -155,6 +155,11 @@ class TestSolveGrowthRate:
             assert result.residuals
             assert all(res < 1e-10 for res in result.residuals)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_diffusivity(self, eta):
+        with pytest.raises(ValueError, match="parameter eta must be finite"):
+            solve_growth_rate(eta, 1.0, 1.0, -1.0)
+
     def test_rates_scale_linearly_in_diffusivity(self):
         base = solve_growth_rate(0.25, 1.3, 0.7, -0.9)
         doubled = solve_growth_rate(0.5, 1.3, 0.7, -0.9)

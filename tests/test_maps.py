@@ -20,6 +20,7 @@ from dynamokit.maps import (
     make_twist_map,
     transport_field,
 )
+from dynamokit.maps import _growth_table, _iterate_normalized
 
 # closed-form cat-map eigenvalues (3 +- sqrt 5)/2, frozen by hand
 CAT_LAMBDA_1 = 2.618033988749895
@@ -226,6 +227,14 @@ class TestGrowthRates:
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
             growth_rate(make_cat_map(), FieldVector(0.0, 1.0), 0)
+
+    def test_table_rows_are_left_to_right_running_means(self):
+        m, f = make_cat_shear_map(2), FieldVector(0.3, 1.0)
+        logs = [math.log(r) for r in _iterate_normalized(m, f, 200)]
+        total = 0.0
+        for k, row in enumerate(_growth_table(m, f, 200), start=1):
+            total += logs[k - 1]
+            assert row == (total / k, logs[k - 1])
 
     def test_hyperbolic_growth_survives_many_iterations(self):
         # internal renormalisation: no overflow at n = 2000

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from dynamokit.reports import format_float, json_dumps, write_csv, write_svg_polyline
+from dynamokit.reports import format_float, json_dumps, write_csv, write_json, write_svg_polyline
 
 
 class TestFloatSerialization:
@@ -53,6 +53,13 @@ class TestWriters:
         assert lines[0] == "a,b,c"
         assert lines[1] == "1,0.10000000000000001,"
         assert lines[2] == "x,true,-2"
+
+    def test_json_non_finite_value_names_file_and_key_path(self, tmp_path):
+        path = tmp_path / "r.json"
+        doc = {"a": [1.0, {"b": 2.0, "c": math.nan}], "d": math.inf}
+        with pytest.raises(ValueError, match=r"^r\.json: a\[1\]\.c: cannot serialise"):
+            write_json(path, doc)
+        assert not path.exists()
 
     def test_svg_is_written_and_deterministic(self, tmp_path):
         first, second = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dynamokit.tube import (
     velocity_profile,
     vorticity,
 )
+from dynamokit.tube import _samples_on
 
 GOLDEN = 1.618033988749895
 GOLDEN_MINUS = -0.6180339887498949
@@ -134,6 +136,11 @@ class TestTubeGradient:
 class TestCompactOperator:
     def test_zero_function(self, log_grid):
         assert np.max(np.abs(compact_operator_apply(np.zeros(log_grid.count), log_grid))) == 0.0
+
+    @pytest.mark.parametrize("fn,shape", [(lambda r: r[:-1], "(255,)"), (lambda r: 1.0, "()")])
+    def test_callable_of_the_wrong_shape_is_rejected(self, log_grid, fn, shape):
+        with pytest.raises(ValueError, match=f"expected 256 samples, got shape {re.escape(shape)}"):
+            _samples_on(fn, log_grid)
 
     def test_quadratic_on_linear_grid_is_exact(self):
         grid = RadialGrid(0.5, 2.0, 64, "linear")

@@ -14,7 +14,6 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import pairwise
 from typing import Callable
 
 import numpy as np
@@ -26,6 +25,12 @@ MAX_STEPS = 10**7
 _FD_STEP = 1e-5
 # Fewest Simpson nodes twist_angle uses for a variable torsion
 _SIMPSON_MIN_NODES = 101
+# Longest run of constant-profile steps advanced and checked in one batch
+_MAX_CHUNK = 256
+# Frame pairs accumulated_rotation_angle handles per batch
+_ANGLE_BLOCK = 4096
+# Left then right rows of the pairs t.n, t.b, n.b, t.t, n.n, b.b that make up the defect
+_DEFECT_ROWS = np.array([0, 0, 1, 0, 1, 2, 1, 2, 2, 0, 1, 2])
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -108,15 +113,19 @@ class CurveProfile:
         return self._kappa_prime_fn(s)
 
 
-def _frame_defect(t: np.ndarray, n: np.ndarray, b: np.ndarray) -> float:
-    return max(
-        abs(float(t @ n)),
-        abs(float(t @ b)),
-        abs(float(n @ b)),
-        abs(math.sqrt(float(t @ t)) - 1.0),
-        abs(math.sqrt(float(n @ n)) - 1.0),
-        abs(math.sqrt(float(b @ b)) - 1.0),
-    )
+def _frame_defects(frames: np.ndarray) -> np.ndarray:
+    """Orthonormality defect of each triad in an (m, 3, 3) stack with rows t, n, b.
+
+    The max over |t.n|, |t.b|, |n.b| and |norm - 1| of each row.  Each value is
+    formed elementwise, so a frame's defect does not depend on the stack it is in.
+    """
+    rows = frames[:, _DEFECT_ROWS]
+    products = rows[:, :6] * rows[:, 6:]
+    dots = products[..., 0] + products[..., 1] + products[..., 2]
+    norms = dots[:, 3:]
+    np.sqrt(norms, out=norms)
+    norms -= 1.0
+    return np.maximum.reduce(np.abs(dots, out=dots), axis=1)
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,8 @@ class FrenetFrame:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_defect", _frame_defect(self.t, self.n, self.b))
+        triad = np.array([[self.t, self.n, self.b]])
+        object.__setattr__(self, "_defect", float(_frame_defects(triad)[0]))
         if self._defect > ORTHONORMALITY_TOL:
             raise ValueError("frame is not orthonormal within tolerance")
         if float(np.max(np.abs(self.b - np.cross(self.t, self.n)))) > ORTHONORMALITY_TOL:
@@ -159,7 +169,9 @@ class FrenetFrame:
 
 def _generator(kappa: float, tau: float) -> np.ndarray:
     """Skew matrix A with (t, n, b)' = A (t, n, b), the triad stacked as rows."""
-    return np.array([[0.0, kappa, 0.0], [-kappa, 0.0, tau], [0.0, -tau, 0.0]])
+    a = np.zeros((3, 3))
+    a[0, 1], a[1, 0], a[1, 2], a[2, 1] = kappa, -kappa, tau, -tau
+    return a
 
 
 def frenet_rhs(frame: FrenetFrame, kappa: float, tau: float):
@@ -223,6 +235,16 @@ def _gram_schmidt(y: np.ndarray) -> np.ndarray:
     return np.array([t, n, b])
 
 
+def _rk4_increment(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray, h: float,
+                   y: np.ndarray) -> np.ndarray:
+    """Change of y over one classical RK4 step of y' = A y, given A at s, s + h/2 and s + h."""
+    k1 = a0 @ y
+    k2 = a_mid @ (y + 0.5 * h * k1)
+    k3 = a_mid @ (y + 0.5 * h * k2)
+    k4 = a1 @ (y + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate_frame(
     profile: CurveProfile,
     s_start: float,
@@ -238,6 +260,12 @@ def integrate_frame(
     are rejected before anything is allocated.
     Orthonormality drift beyond ORTHONORMALITY_TOL triggers a Gram-Schmidt
     re-orthonormalisation, recorded in the trajectory.
+
+    A constant profile advances by the one-step RK4 matrix P = I + hA +
+    (hA)^2/2 + (hA)^3/6 + (hA)^4/24 in chunks P^1..P^m y, scanned for the
+    first frame above the tolerance; m halves after an event and doubles
+    after a clean chunk, up to 256.  A variable profile (and a shortened
+    final step) takes one RK4 stage step at a time through the same loop.
     """
     if not all(map(math.isfinite, (s_start, s_end, step))):
         raise ValueError(f"s_start, s_end and step must be finite, got {s_start}, {s_end}, {step}")
@@ -257,35 +285,57 @@ def integrate_frame(
     remainder = span - n_full * step
     n_steps = n_full + (remainder > 1e-12 * max(1.0, abs(span)))
 
-    arclengths = np.empty(n_steps + 1)
+    arclengths = np.append(s_start, s_start + np.arange(1, n_steps + 1) * step)
+    if n_steps:
+        arclengths[-1] = s_end
     frames = np.empty((n_steps + 1, 3, 3))
     defects = np.empty(n_steps + 1)
-    y = np.array([initial.t, initial.n, initial.b])
-    arclengths[0], frames[0], defects[0] = s_start, y, initial.orthonormality_defect()
+    frames[0] = initial.t, initial.n, initial.b
+    y = frames[0]
+    defects[0] = initial.orthonormality_defect()
+    constant = (n_steps > 0 and profile._kappa_const is not None
+                and profile._tau_const is not None)
+    if constant:
+        a = coeff(s_start)
+        # E_k = P^k - I for k = 1, 2, ..., where y -> P y = y + E_1 y is one RK4 step.
+        # Kept apart from I, each entry is rounded relative to the increment, not to 1.
+        increments = _rk4_increment(a, a, a, step, np.eye(3))[None]
     reorthonormalizations = []
     max_defect = 0.0
-    s = s_start
-    for i in range(n_steps):
-        h = step if i < n_full else remainder
-        a0 = coeff(s)
-        a_mid = coeff(s + 0.5 * h)
-        a1 = coeff(s + h)
-        k1 = a0 @ y
-        k2 = a_mid @ (y + 0.5 * h * k1)
-        k3 = a_mid @ (y + 0.5 * h * k2)
-        k4 = a1 @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = s_end if i == n_steps - 1 else s_start + (i + 1) * step
-        defect = _frame_defect(y[0], y[1], y[2])
-        max_defect = max(max_defect, defect)
-        if defect > ORTHONORMALITY_TOL:
-            reorthonormalizations.append((s, defect))
-            y = _gram_schmidt(y)
-            defect = _frame_defect(y[0], y[1], y[2])
-        # max() inside _frame_defect can pass over a NaN, so test the frame itself
+    i, chunk = 0, 1
+    while i < n_steps:
+        if constant and i < n_full:
+            m = min(chunk, n_full - i)
+            while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
+                last = increments[-1]
+                increments = np.concatenate((increments, increments + last + increments @ last))
+            frames[i + 1:i + m + 1] = (increments[:m].reshape(-1, 3) @ y).reshape(m, 3, 3) + y
+        else:
+            m = 1
+            s, h = float(arclengths[i]), (step if i < n_full else remainder)
+            a0, a_mid, a1 = (a, a, a) if constant else (coeff(s), coeff(s + 0.5 * h), coeff(s + h))
+            frames[i + 1] = y + _rk4_increment(a0, a_mid, a1, h, y)
+        scanned = _frame_defects(frames[i + 1:i + m + 1])
+        worst = float(np.maximum.reduce(scanned))
+        if not worst <= ORTHONORMALITY_TOL:
+            # the first frame above the tolerance, or with a NaN defect, ends the chunk
+            m = int(np.argmin(scanned <= ORTHONORMALITY_TOL)) + 1
+            worst = float(scanned[m - 1])
+        defects[i + 1:i + m + 1] = scanned[:m]
+        max_defect = max(max_defect, worst)
+        i += m
+        y = frames[i]
+        if worst <= ORTHONORMALITY_TOL:
+            chunk = min(2 * chunk, _MAX_CHUNK)
+            continue
+        s = float(arclengths[i])
+        reorthonormalizations.append((s, worst))
+        y = frames[i] = _gram_schmidt(y)
+        defects[i] = _frame_defects(frames[i:i + 1])[0]
+        # a non-finite frame has a non-finite defect, so only a flagged frame can be one
         if not np.isfinite(y).all():
             raise ValueError(f"frame is not finite at s = {s!r}")
-        arclengths[i + 1], frames[i + 1], defects[i + 1] = s, y, defect
+        chunk = max(chunk // 2, 1)
     for array in (arclengths, frames, defects):
         array.setflags(write=False)
     return FrameTrajectory(arclengths, frames, defects, reorthonormalizations, max_defect)
@@ -296,17 +346,21 @@ def accumulated_rotation_angle(trajectory: FrameTrajectory) -> float:
 
     Each step contributes the axis-angle magnitude of R = F1^T F0 where F
     stacks (t, n, b) as rows; summing avoids the mod-2pi folding a single
-    endpoint comparison would suffer.
+    endpoint comparison would suffer.  The sum runs left to right.
     """
-    total = 0.0
-    for m0, m1 in pairwise(trajectory.frames):
-        rot = m1.T @ m0
-        cos_term = (np.trace(rot) - 1.0) / 2.0
-        skew = 0.5 * np.array(
-            [rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]]
+    frames = trajectory.frames
+    # angles[0] = 0 starts the running sum; blocks bound the temporaries at any length
+    angles = np.zeros(len(frames))
+    for start in range(0, len(frames) - 1, _ANGLE_BLOCK):
+        block = frames[start:start + _ANGLE_BLOCK + 1]
+        rot = np.einsum("kji,kjl->kil", block[1:], block[:-1])
+        cos_term = (np.trace(rot, axis1=1, axis2=2) - 1.0) / 2.0
+        skew = 0.5 * np.stack(
+            (rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0], rot[:, 1, 0] - rot[:, 0, 1]),
+            axis=1,
         )
-        total += math.atan2(float(np.linalg.norm(skew)), float(cos_term))
-    return total
+        angles[start + 1:start + len(block)] = np.arctan2(np.linalg.norm(skew, axis=1), cos_term)
+    return float(np.add.accumulate(angles, out=angles)[-1])
 
 
 def twist_angle(theta_r: float, profile: CurveProfile, s: float) -> float:

@@ -33,8 +33,13 @@ def json_dumps(obj, indent: int = 0) -> str:
     """Serialise to JSON with 17-significant-digit floats and stable ordering.
 
     Dict keys keep insertion order (reports are built deterministically), so
-    identical inputs yield identical bytes.
+    identical inputs yield identical bytes.  A non-finite value raises
+    ValueError naming its key path.
     """
+    return _dumps(obj, indent, "")
+
+
+def _dumps(obj, indent: int, key_path: str) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -44,46 +49,31 @@ def json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format_float(obj)
+        try:
+            return format_float(obj)
+        except ValueError as exc:
+            raise ValueError(f"{key_path or 'top level'}: {exc}") from None
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{inner}{json.dumps(str(key))}: {json_dumps(value, indent + 1)}"
+            f"{inner}{json.dumps(str(key))}: "
+            + _dumps(value, indent + 1, f"{key_path}.{key}" if key_path else str(key))
             for key, value in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{inner}{json_dumps(value, indent + 1)}" for value in obj)
+        items = ",\n".join(f"{inner}{_dumps(value, indent + 1, f'{key_path}[{index}]')}"
+                            for index, value in enumerate(obj))
         return "[\n" + items + "\n" + pad + "]"
     # numpy scalars and similar duck-typed numbers
     if hasattr(obj, "item"):
-        return json_dumps(obj.item(), indent)
+        return _dumps(obj.item(), indent, key_path)
     raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
-
-
-def _first_unserialisable(obj, key_path: str) -> str | None:
-    """Key path of the first leaf json_dumps rejects, in output order, else None."""
-    if isinstance(obj, dict):
-        children = ((f"{key_path}.{key}" if key_path else str(key), value)
-                    for key, value in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        children = ((f"{key_path}[{index}]", value) for index, value in enumerate(obj))
-    else:
-        try:
-            json_dumps(obj)
-        except ValueError:
-            return key_path
-        return None
-    for child_path, value in children:
-        found = _first_unserialisable(value, child_path)
-        if found is not None:
-            return found
-    return None
 
 
 def write_json(path: Path, obj) -> None:
@@ -91,8 +81,7 @@ def write_json(path: Path, obj) -> None:
     try:
         text = json_dumps(obj)
     except ValueError as exc:
-        key_path = _first_unserialisable(obj, "") or "top level"
-        raise ValueError(f"{Path(path).name}: {key_path}: {exc}") from exc
+        raise ValueError(f"{Path(path).name}: {exc}") from exc
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 

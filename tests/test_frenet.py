@@ -1,9 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dynamokit.frenet import (
+    ORTHONORMALITY_TOL,
     CurveProfile,
     FrenetFrame,
     MetricDegeneracyWarning,
@@ -213,6 +217,67 @@ class TestIntegrateFrame:
             integrate_frame(
                 CurveProfile.constant(-1.0, 0.0), 0.0, 1.0, 0.1, FrenetFrame.canonical()
             )
+
+
+def propagator_and_stage_runs(kappa: float, tau: float, span: float, step: float):
+    """One constant profile integrated as constants (propagator) and as callables (stage loop)."""
+    start = FrenetFrame.canonical()
+    stage = integrate_frame(
+        CurveProfile(kappa=lambda s: kappa, tau=lambda s: tau), 0.0, span, step, start
+    )
+    propagated = integrate_frame(CurveProfile.constant(kappa, tau), 0.0, span, step, start)
+    return propagated, stage
+
+
+class TestPropagatorMatchesStageLoop:
+    @settings(max_examples=8, deadline=None)
+    @example(kappa=4.46, tau=2.98, step=0.465, n_full=20000, fraction=0.5)
+    @example(kappa=1.0, tau=1.0, step=1e-3, n_full=10000, fraction=0.0)
+    @given(
+        kappa=st.floats(0.0, 5.0),
+        tau=st.floats(-3.0, 3.0),
+        step=st.floats(1e-3, 0.5),
+        n_full=st.integers(0, 20000),
+        fraction=st.floats(0.0, 0.9),
+    )
+    def test_same_frames_defects_events_and_angle(self, kappa, tau, step, n_full, fraction):
+        span = (n_full + fraction) * step
+        propagated, stage = propagator_and_stage_runs(kappa, tau, span, step)
+        # a defect this close to the tolerance decides its event on rounding alone
+        near = np.append(stage.defects, [d for _, d in stage.reorthonormalizations])
+        assume(np.abs(near - ORTHONORMALITY_TOL).min() > 1e-10)
+
+        assert np.array_equal(propagated.arclengths, stage.arclengths)
+        assert ([s for s, _ in propagated.reorthonormalizations]
+                == [s for s, _ in stage.reorthonormalizations])
+        # every step applies one fixed rounded matrix in place of the stage arithmetic,
+        # so the two also part by a few ulps of the accumulated rotation angle
+        frame_bound = 1e-12 + 4.0 * sys.float_info.epsilon * span * math.hypot(kappa, tau)
+        assert np.abs(propagated.frames - stage.frames).max() <= frame_bound
+        assert np.abs(propagated.defects - stage.defects).max() <= 1e-12
+        assert abs(propagated.max_defect - stage.max_defect) <= 1e-12
+        expected = accumulated_rotation_angle(stage)
+        assert abs(accumulated_rotation_angle(propagated) - expected) <= 1e-12 * expected
+
+    def test_shortened_final_step(self):
+        propagated, stage = propagator_and_stage_runs(2.0, -1.0, 7.3333, 0.01)
+        assert len(propagated.samples) == 735
+        assert propagated.arclengths[-1] == stage.arclengths[-1] == 7.3333
+        assert np.abs(propagated.frames - stage.frames).max() <= 1e-12
+
+    def test_zero_span_is_one_sample_without_rotation(self):
+        for traj in propagator_and_stage_runs(2.0, 0.5, 0.0, 0.1):
+            assert traj.arclengths.tolist() == [0.0]
+            assert len(traj.samples) == 1
+            assert accumulated_rotation_angle(traj) == 0.0
+
+    def test_sample_defects_equal_stored_defects_on_long_helix(self):
+        traj = integrate_frame(
+            CurveProfile.constant(1.0, 1.0), 0.0, 10.0, 1e-3, helix_frame(1.0, 1.0, 0.0)
+        )
+        assert len(traj.samples) == 10001
+        assert traj.reorthonormalizations == []
+        assert [frame.orthonormality_defect() for _, frame in traj.samples] == traj.defects.tolist()
 
 
 class TestCurveProfile:

@@ -128,10 +128,13 @@ def _load_config_file(path: str) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read config file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
     if path.endswith(".json"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError also covers integers too long to convert; RecursionError, deep nesting
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise InputError(f"config file {path!r} must contain a JSON object")
@@ -139,6 +142,8 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "command" in data:
             merged["command"] = str(data["command"])
         if "formats" in data:
+            if not isinstance(data["formats"], list):
+                raise InputError(f"config file {path!r}: 'formats' must be a list")
             merged["format"] = ",".join(str(f) for f in data["formats"])
         parameters = data.get("parameters", {})
         if not isinstance(parameters, dict):
@@ -181,6 +186,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     out = merged.pop("out", None)
     if out is None:
         raise InputError("--out is required")
+    if "\0" in out:
+        raise InputError("--out must not contain a NUL character")
     format_spec = merged.pop("format", "csv,json,svg")
     formats = tuple(token.strip() for token in format_spec.split(",") if token.strip())
     if not formats:
@@ -243,8 +250,8 @@ def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, s
             write_json(staging / f"{cfg.command}_{name}.json",
                        {"manifest": manifest, "results": results})
         if "csv" in cfg.formats:
-            for suffix, header, rows in csv_specs:
-                write_csv(staging / f"{cfg.command}_{suffix}.csv", header, rows)
+            for suffix, header, columns in csv_specs:
+                write_csv(staging / f"{cfg.command}_{suffix}.csv", header, *columns)
         if "svg" in cfg.formats:
             for suffix, xs, ys, title, x_label, y_label in svg_specs:
                 write_svg_polyline(staging / f"{cfg.command}_{suffix}.svg", xs, ys,
@@ -276,8 +283,8 @@ def run_map_report(cfg: RunConfig) -> None:
     classification = maps.classify(torus_map)
     seed = maps.FieldVector(p["seed-u"], p["seed-v"])
 
-    growth_rows = [(n, *rates) for n, rates in
-                   enumerate(maps._growth_table(torus_map, seed, p["growth-steps"]), start=1)]
+    time_average, per_step = zip(*maps._growth_table(torus_map, seed, p["growth-steps"]))
+    steps = range(1, len(time_average) + 1)
     orbit = maps.iterate_orbit(
         torus_map, maps.TorusPoint(p["orbit-x"], p["orbit-y"]), p["orbit-steps"]
     )
@@ -296,16 +303,18 @@ def run_map_report(cfg: RunConfig) -> None:
         "growth": {
             "seed": [seed.u, seed.v],
             "steps": p["growth-steps"],
-            "time_average_final": growth_rows[-1][1],
-            "per_step_final": growth_rows[-1][2],
+            "time_average_final": time_average[-1],
+            "per_step_final": per_step[-1],
         },
     }
     csv_specs = [
-        (f"{name}_growth", ["n", "time_average_log_growth", "per_step_log_growth"], growth_rows),
-        (f"{name}_orbit", ["k", "x", "y"], [(k, pt.x, pt.y) for k, pt in enumerate(orbit)]),
+        (f"{name}_growth", ["n", "time_average_log_growth", "per_step_log_growth"],
+         (steps, time_average, per_step)),
+        (f"{name}_orbit", ["k", "x", "y"],
+         (range(len(orbit)), [pt.x for pt in orbit], [pt.y for pt in orbit])),
     ]
     svg_specs = [
-        (f"{name}_growth", [row[0] for row in growth_rows], [row[1] for row in growth_rows],
+        (f"{name}_growth", steps, time_average,
          f"log growth per iteration: {name}", "iterations n", "time-average log growth"),
     ]
     _emit(cfg, _manifest(cfg, derived={"matrix": matrix}), results, name, csv_specs, svg_specs)
@@ -334,17 +343,12 @@ def run_tube_report(cfg: RunConfig) -> None:
         "pressure_blowup": {"radii": blowup_radii, "verdict": verdict},
         "pressure_at_r_max": float(pressure[-1]),
     }
-    profile_rows = list(
-        zip(r, field.v_s, field.v_theta, pressure, alpha, residual_p, residual_t)
-    )
     csv_specs = [
         ("profiles",
          ["r", "v_s", "v_theta", "p", "alpha", "residual_poloidal", "residual_toroidal"],
-         profile_rows),
+         (r, field.v_s, field.v_theta, pressure, alpha, residual_p, residual_t)),
     ]
-    svg_specs = [
-        ("pressure", list(r), list(pressure), "pressure profile", "r", "p(r)"),
-    ]
+    svg_specs = [("pressure", r, pressure, "pressure profile", "r", "p(r)")]
     _emit(cfg, _manifest(cfg), results, "report", csv_specs, svg_specs)
 
 
@@ -360,20 +364,7 @@ def run_filament_sweep(cfg: RunConfig) -> None:
     coef_a, coef_b, coef_c = params.A, params.B, params.C
     solutions = [filament.solve_growth_rate(eta, coef_a, coef_b, coef_c) for eta in etas]
 
-    rows = []
-    samples = []
-    for eta, sol in zip(etas, solutions):
-        gammas = list(sol.roots) + [None] * (2 - len(sol.roots))
-        rows.append((
-            eta,
-            None if gammas[0] is None else gammas[0].real,
-            None if gammas[0] is None else gammas[0].imag,
-            None if gammas[1] is None else gammas[1].real,
-            None if gammas[1] is None else gammas[1].imag,
-            sol.regime,
-        ))
-        if sol.roots:
-            samples.append((eta, sol.roots[0]))
+    samples = [(eta, sol.roots[0]) for eta, sol in zip(etas, solutions) if sol.roots]
     tau = p["tau"]
     distinct = len({eta for eta, _ in samples})
     if tau == 0.0 or distinct >= 3:
@@ -389,13 +380,17 @@ def run_filament_sweep(cfg: RunConfig) -> None:
         "verdict": verdict,
         "notes": sorted({note for sol in solutions for note in sol.notes}),
     }
+    # each eta has 0, 1 or 2 roots; a missing one is None, which has no .real: blank cells
+    pairs = [(*sol.roots, None, None)[:2] for sol in solutions]
+    root_columns = [[getattr(pair[i], part, None) for pair in pairs]
+                    for i in (0, 1) for part in ("real", "imag")]
     csv_specs = [
-        ("sweep", ["eta", "re_gamma_1", "im_gamma_1", "re_gamma_2", "im_gamma_2", "regime"], rows),
+        ("sweep", ["eta", "re_gamma_1", "im_gamma_1", "re_gamma_2", "im_gamma_2", "regime"],
+         (etas, *root_columns, [sol.regime for sol in solutions])),
     ]
-    plot_points = [(eta, gamma.real) for eta, gamma in samples]
     svg_specs = []
-    if plot_points:
-        svg_specs.append(("sweep", [pt[0] for pt in plot_points], [pt[1] for pt in plot_points],
+    if samples:
+        svg_specs.append(("sweep", [eta for eta, _ in samples], [g.real for _, g in samples],
                           "growth rate vs diffusivity", "eta", "Re gamma_1"))
     _emit(cfg, _manifest(cfg), results, "report", csv_specs, svg_specs)
 
@@ -406,13 +401,10 @@ def run_frenet(cfg: RunConfig) -> None:
     trajectory = frenet.integrate_frame(
         profile, p["s-start"], p["s-end"], p["step"], frenet.FrenetFrame.canonical()
     )
-    rows = np.column_stack(
-        (trajectory.arclengths, trajectory.frames.reshape(-1, 9), trajectory.defects)
-    ).tolist()
     rotation = frenet.accumulated_rotation_angle(trajectory)
     span = p["s-end"] - p["s-start"]
     results = {
-        "samples": len(rows),
+        "samples": len(trajectory.arclengths),
         "max_defect": trajectory.max_defect,
         "reorthonormalizations": [
             {"s": s, "defect": defect} for s, defect in trajectory.reorthonormalizations
@@ -423,10 +415,10 @@ def run_frenet(cfg: RunConfig) -> None:
     csv_specs = [
         ("frames",
          ["s", "t1", "t2", "t3", "n1", "n2", "n3", "b1", "b2", "b3", "defect"],
-         rows),
+         (trajectory.arclengths, *trajectory.frames.reshape(-1, 9).T, trajectory.defects)),
     ]
     svg_specs = [
-        ("defect", [row[0] for row in rows], [row[-1] for row in rows],
+        ("defect", trajectory.arclengths, trajectory.defects,
          "orthonormality defect along the curve", "s", "defect"),
     ]
     _emit(cfg, _manifest(cfg), results, "report", csv_specs, svg_specs)

@@ -231,8 +231,9 @@ def _gram_schmidt(y: np.ndarray) -> np.ndarray:
     t = y[0] / np.linalg.norm(y[0])
     n = y[1] - (y[1] @ t) * t
     n = n / np.linalg.norm(n)
-    b = np.cross(t, n)
-    return np.array([t, n, b])
+    (t0, t1, t2), (n0, n1, n2) = t.tolist(), n.tolist()
+    # b = t x n by components: the same bits as np.cross, without its per-call overhead
+    return np.array([t, n, (t1 * n2 - t2 * n1, t2 * n0 - t0 * n2, t0 * n1 - t1 * n0)])
 
 
 def _rk4_increment(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray, h: float,

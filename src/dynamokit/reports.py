@@ -12,9 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
+
 FLOAT_FORMAT = ".17g"
+# write_csv formats this many rows at once, so a long table never holds all its cells
+_CSV_BLOCK_ROWS = 1024
 # SVG canvas size in pixels
 _SVG_WIDTH = 640
 _SVG_HEIGHT = 440
@@ -85,42 +90,56 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if hasattr(value, "item"):
-        return _format_cell(value.item())
-    return str(value)
+def _finite(column) -> np.ndarray:
+    """Finiteness of each cell: one array test for a numeric column, one pass otherwise."""
+    values = np.asarray(column)
+    if values.dtype.kind in "iuf":
+        return np.isfinite(values)
+    return np.array([x is None or isinstance(x, str) or math.isfinite(x) for x in column],
+                    dtype=bool)
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Write a quoted-as-needed CSV with a header row and 17-digit floats.
+def write_csv(path: Path, header, *columns) -> None:
+    """Write equal-length columns under a header row, quoted as needed.
 
-    A non-finite cell raises ValueError naming the file, column and data row.
+    Numbers get 17 significant digits, None an empty cell, strings stay as
+    they are.  Unequal columns, a header that does not name each column and a
+    non-finite value raise ValueError before the file opens; the last names
+    the file, column and data row of the first one in row order.
     """
-    header = list(header)
+    finite = np.column_stack([_finite(column) for column, _ in zip(columns, header, strict=True)])
+    if not finite.all():
+        row, index = divmod(int(np.argmin(finite)), len(columns))
+        raise ValueError(f"{Path(path).name}: column {header[index]!r}, data row {row + 1}: "
+                         f"cannot serialise non-finite value {float(columns[index][row])!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for number, row in enumerate(rows, start=1):
-            cells = []
-            try:
-                for cell in row:
-                    cells.append(_format_cell(cell))
-            except ValueError as exc:
-                raise ValueError(f"{Path(path).name}: column {header[len(cells)]!r}, "
-                                 f"data row {number}: {exc}") from exc
-            writer.writerow(cells)
+        for start in range(0, len(finite), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            cells = [["" if x is None else x if isinstance(x, str) else "%.17g" % x
+                      for x in np.asarray(column[start:stop], dtype=object)] for column in columns]
+            writer.writerows(zip(*cells, strict=True))
 
 
 def _svg_num(x: float) -> str:
     return format(float(x), ".6g")
+
+
+def _axis(values: list[float]) -> tuple[float, float, list[float]]:
+    """The two end labels of an axis and how far along it each value lies, in [0, 1].
+
+    A constant series lies mid-axis, between labels half its magnitude (at
+    least 0.5) either side.  Fractions are taken on halved values, so that
+    no span of finite values overflows.
+    """
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        pad = 0.5 * max(1.0, abs(lo))
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+        return lo, hi, [0.5] * len(values)
+    span = hi / 2 - lo / 2
+    return lo, hi, [(v / 2 - lo / 2) / span for v in values]
 
 
 def write_svg_polyline(
@@ -140,20 +159,11 @@ def write_svg_polyline(
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
     plot_w = _SVG_WIDTH - margin_left - margin_right
     plot_h = _SVG_HEIGHT - margin_top - margin_bottom
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
-    if x_max == x_min:
-        x_min, x_max = x_min - 0.5, x_max + 0.5
-    if y_max == y_min:
-        y_min, y_max = y_min - 0.5, y_max + 0.5
-
-    def px(x: float) -> float:
-        return margin_left + (x - x_min) / (x_max - x_min) * plot_w
-
-    def py(y: float) -> float:
-        return margin_top + (y_max - y) / (y_max - y_min) * plot_h
-
-    points = " ".join(f"{_svg_num(px(x))},{_svg_num(py(y))}" for x, y in zip(xs, ys))
+    x_min, x_max, x_frac = _axis(xs)
+    y_min, y_max, y_frac = _axis(ys)
+    points = " ".join(f"{_svg_num(margin_left + fx * plot_w)},"
+                      f"{_svg_num(margin_top + (1.0 - fy) * plot_h)}"
+                      for fx, fy in zip(x_frac, y_frac))
     x0, x1 = margin_left, margin_left + plot_w
     y0, y1 = margin_top, margin_top + plot_h
     lines = [

@@ -187,6 +187,17 @@ class TestFilamentCommand:
         assert results["coefficients"] == {"A": 1.0, "B": 1.0, "C": -1.0}
         assert (out / "filament_sweep.svg").exists()
 
+    @pytest.mark.parametrize("argv,cells", [
+        (["--v0", "0", "--eta", "0.1"], ["", "", "", ""]),
+        (["--kappa-prime", "1e20", "--v0", "1", "--eta", "0.1"],
+         ["-0.10000000000000001", "-0", "", ""]),
+    ], ids=["no-root", "one-root"])
+    def test_missing_roots_leave_blank_cells(self, tmp_path, argv, cells):
+        out = tmp_path / "sweep"
+        assert run("--command", "filament", "--out", str(out), *argv) == 0
+        _header, rows = read_csv(out / "filament_sweep.csv")
+        assert rows[0][1:5] == cells
+
     def test_empty_eta_list_exits_2(self, tmp_path):
         assert run("--command", "filament", "--out", str(tmp_path / "x"), "--eta", "") == 2
 
@@ -312,6 +323,34 @@ class TestConfigAndDeterminism:
 
     def test_unknown_format_exits_2(self, tmp_path):
         assert run("--command", "map", "--out", str(tmp_path / "x"), "--format", "png") == 2
+
+    @pytest.mark.parametrize("formats", [5, None], ids=["number", "null"])
+    def test_json_config_formats_must_be_a_list(self, tmp_path, capsys, formats):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": "map", "formats": formats}))
+        assert run("--config", str(config), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error: config file ")
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"command=map\n\xff\xfe=1\n")
+        assert run("--config", str(config), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error: config file ")
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000, '{"command": "tube", "parameters": {"nodes": ' + "1" * 5000 + "}}",
+    ], ids=["deeply-nested", "over-long-integer"])
+    def test_undecodable_json_config_exits_2(self, tmp_path, capsys, text):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        assert run("--config", str(config), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nul_in_configured_output_directory_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("command=map\nout=a\0b\n")
+        assert run("--config", str(config)) == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_missing_command_exits_2(self, tmp_path):
         assert run("--out", str(tmp_path / "x")) == 2

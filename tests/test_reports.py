@@ -1,8 +1,11 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from dynamokit.cli import MAX_TABLE_ROWS
 from dynamokit.reports import format_float, json_dumps, write_csv, write_json, write_svg_polyline
 
 
@@ -48,11 +51,58 @@ class TestJsonDumps:
 class TestWriters:
     def test_csv_cells(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b", "c"], [(1, 0.1, None), ("x", True, -2.0)])
+        write_csv(path, ["a", "b", "c"], [1, "x"], [0.1, 2.5], [None, -2.0])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "a,b,c"
         assert lines[1] == "1,0.10000000000000001,"
-        assert lines[2] == "x,true,-2"
+        assert lines[2] == "x,2.5,-2"
+
+    def test_csv_matches_row_by_row_formatting_across_blocks(self, tmp_path):
+        path, reference = tmp_path / "t.csv", tmp_path / "ref.csv"
+        rows = 10_000  # several formatting blocks
+        rng = np.random.default_rng(7)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        labels = ["slow" if k % 3 else "fast, \"quoted\"" for k in range(rows)]
+        maybe = [None if k % 5 == 0 else k / 7.0 for k in range(rows)]
+        write_csv(path, ["n", "x", "label", "maybe"], range(rows), floats, labels, maybe)
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "x", "label", "maybe"])
+            for row in zip(range(rows), floats.tolist(), labels, maybe):
+                writer.writerow([str(cell) if isinstance(cell, (int, str)) else
+                                 "" if cell is None else format(cell, ".17g") for cell in row])
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_csv_integer_column_formats_like_str(self, tmp_path):
+        path = tmp_path / "n.csv"
+        write_csv(path, ["n"], range(1, MAX_TABLE_ROWS + 1))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:] == [str(n) for n in range(1, MAX_TABLE_ROWS + 1)]
+
+    @pytest.mark.parametrize("header,columns", [
+        (["a", "b"], ([1.0, 2.0], [1.0])),
+        (["a", "b"], ([1.0], [1.0, 2.0])),
+        (["a", "b"], ([1.0],)),
+        (["a"], ([1.0], [2.0])),
+    ], ids=["second-shorter", "second-longer", "header-longer", "header-shorter"])
+    def test_csv_rejects_mismatched_columns(self, tmp_path, header, columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, header, *columns)
+        assert not path.exists()
+
+    def test_csv_non_finite_value_in_a_blank_bearing_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"^t\.csv: column 'b', data row 3: "
+                                             r"cannot serialise non-finite value inf$"):
+            write_csv(path, ["a", "b", "c"], [1.0, 2.0, 3.0], [None, 0.5, math.inf],
+                      ["x", "y", "z"])
+        assert not path.exists()
+
+    def test_csv_names_the_first_non_finite_value_in_row_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"^t\.csv: column 'b', data row 1: .* nan$"):
+            write_csv(path, ["a", "b"], np.array([1.0, -math.inf]), np.array([math.nan, 1.0]))
 
     def test_json_non_finite_value_names_file_and_key_path(self, tmp_path):
         path = tmp_path / "r.json"
@@ -74,3 +124,18 @@ class TestWriters:
     def test_svg_rejects_empty_input(self, tmp_path):
         with pytest.raises(ValueError):
             write_svg_polyline(tmp_path / "x.svg", [], [], title="t", x_label="x", y_label="y")
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.0, 1.0], [2.3937588257735736e96, 2.3937588257735736e96]),  # constant, 0.5 is lost
+        ([0.0, 1.0], [1.7e308, 1.7e308]),  # constant, next to the largest float
+        ([-1.7e308, 1.7e308], [-1.7e308, 1.7e308]),  # span beyond the largest float
+    ])
+    def test_svg_places_extreme_finite_values_inside_the_axes(self, tmp_path, xs, ys):
+        path = tmp_path / "x.svg"
+        write_svg_polyline(path, xs, ys, title="t", x_label="x", y_label="y")
+        body = path.read_text(encoding="utf-8")
+        assert "nan" not in body and "inf" not in body
+        points = body.split('points="')[1].split('"')[0].split()
+        for point in points:
+            px, py = map(float, point.split(","))
+            assert 70 <= px <= 620 and 40 <= py <= 390

@@ -227,6 +227,9 @@ def classify_dynamo(samples, tau: float) -> str:
     gammas = np.array([gamma for _, gamma in pairs])
     if np.unique(etas).size < 3:
         raise ValueError("need at least 3 samples with distinct eta")
+    # polyfit divides the eta column by its norm; with a norm of 0 its SVD fails
+    if not (etas * etas).sum() > 0.0:
+        raise ValueError(f"eta sweep {etas.tolist()}: too close to 0, sum of eta^2 underflows")
     slope, intercept = np.polyfit(etas, gammas, 1)
     fit_residual = float(np.max(np.abs(slope * etas + intercept - gammas)))
     if abs(intercept) < _INTERCEPT_TOL and fit_residual < _RESIDUAL_TOL:

@@ -228,12 +228,16 @@ class FrameTrajectory:
 
 
 def _gram_schmidt(y: np.ndarray) -> np.ndarray:
-    t = y[0] / np.linalg.norm(y[0])
-    n = y[1] - (y[1] @ t) * t
-    n = n / np.linalg.norm(n)
-    (t0, t1, t2), (n0, n1, n2) = t.tolist(), n.tolist()
-    # b = t x n by components: the same bits as np.cross, without its per-call overhead
-    return np.array([t, n, (t1 * n2 - t2 * n1, t2 * n0 - t0 * n2, t0 * n1 - t1 * n0)])
+    """Unit t, n normal to t, b = t x n, from one y.tolist(); the next scan takes its defect."""
+    (t0, t1, t2), (n0, n1, n2), _ = y.tolist()
+    norm = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2) or math.nan  # a zero row has no direction
+    t0, t1, t2 = t0 / norm, t1 / norm, t2 / norm
+    d = n0 * t0 + n1 * t1 + n2 * t2
+    n0, n1, n2 = n0 - d * t0, n1 - d * t1, n2 - d * t2
+    norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2) or math.nan
+    n0, n1, n2 = n0 / norm, n1 / norm, n2 / norm
+    return np.array([(t0, t1, t2), (n0, n1, n2),
+                     (t1 * n2 - t2 * n1, t2 * n0 - t0 * n2, t0 * n1 - t1 * n0)])
 
 
 def _rk4_increment(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray, h: float,
@@ -260,7 +264,8 @@ def integrate_frame(
     Non-finite bounds or step, and spans needing more than MAX_STEPS steps,
     are rejected before anything is allocated.
     Orthonormality drift beyond ORTHONORMALITY_TOL triggers a Gram-Schmidt
-    re-orthonormalisation, recorded in the trajectory.
+    re-orthonormalisation, recorded in the trajectory; the new frame's defect
+    comes from the next chunk's scan, or after the last step from one call.
 
     A constant profile advances by the one-step RK4 matrix P = I + hA +
     (hA)^2/2 + (hA)^3/6 + (hA)^4/24 in chunks P^1..P^m y, scanned for the
@@ -303,7 +308,7 @@ def integrate_frame(
         increments = _rk4_increment(a, a, a, step, np.eye(3))[None]
     reorthonormalizations = []
     max_defect = 0.0
-    i, chunk = 0, 1
+    i, chunk, lead = 0, 1, 0
     while i < n_steps:
         if constant and i < n_full:
             m = min(chunk, n_full - i)
@@ -316,15 +321,17 @@ def integrate_frame(
             s, h = float(arclengths[i]), (step if i < n_full else remainder)
             a0, a_mid, a1 = (a, a, a) if constant else (coeff(s), coeff(s + 0.5 * h), coeff(s + h))
             frames[i + 1] = y + _rk4_increment(a0, a_mid, a1, h, y)
-        scanned = _frame_defects(frames[i + 1:i + m + 1])
+        # after an event the scan starts one frame early, at the re-orthonormalised frame
+        first, stop = i + 1 - lead, i + m
+        scanned = _frame_defects(frames[first:stop + 1])
         worst = float(np.maximum.reduce(scanned))
         if not worst <= ORTHONORMALITY_TOL:
             # the first frame above the tolerance, or with a NaN defect, ends the chunk
-            m = int(np.argmin(scanned <= ORTHONORMALITY_TOL)) + 1
-            worst = float(scanned[m - 1])
-        defects[i + 1:i + m + 1] = scanned[:m]
+            stop = first + int(np.argmin(scanned <= ORTHONORMALITY_TOL))
+            worst = float(scanned[stop - first])
+        defects[first:stop + 1] = scanned[:stop + 1 - first]
         max_defect = max(max_defect, worst)
-        i += m
+        i, lead = stop, 0
         y = frames[i]
         if worst <= ORTHONORMALITY_TOL:
             chunk = min(2 * chunk, _MAX_CHUNK)
@@ -332,11 +339,12 @@ def integrate_frame(
         s = float(arclengths[i])
         reorthonormalizations.append((s, worst))
         y = frames[i] = _gram_schmidt(y)
-        defects[i] = _frame_defects(frames[i:i + 1])[0]
         # a non-finite frame has a non-finite defect, so only a flagged frame can be one
         if not np.isfinite(y).all():
             raise ValueError(f"frame is not finite at s = {s!r}")
-        chunk = max(chunk // 2, 1)
+        chunk, lead = max(chunk // 2, 1), 1
+    if lead:  # an event on the last step: no later scan takes the new frame's defect
+        defects[i] = _frame_defects(frames[i:])[0]
     for array in (arclengths, frames, defects):
         array.setflags(write=False)
     return FrameTrajectory(arclengths, frames, defects, reorthonormalizations, max_defect)

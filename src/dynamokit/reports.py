@@ -9,7 +9,6 @@ convenience.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -90,13 +89,14 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
-def _finite(column) -> np.ndarray:
-    """Finiteness of each cell: one array test for a numeric column, one pass otherwise."""
-    values = np.asarray(column)
-    if values.dtype.kind in "iuf":
-        return np.isfinite(values)
-    return np.array([x is None or isinstance(x, str) or math.isfinite(x) for x in column],
-                    dtype=bool)
+def _csv_field(x, empty: str = "") -> str:
+    """One cell as csv.writer writes it: None empty, a number with 17 digits, quotes doubled."""
+    if x is None or x == "":
+        return empty
+    if not isinstance(x, str):
+        return "%.17g" % x
+    # csv.writer's minimal quoting: only a cell holding one of , " CR LF is quoted
+    return '"%s"' % x.replace('"', '""') if any(c in x for c in ',"\r\n') else x
 
 
 def write_csv(path: Path, header, *columns) -> None:
@@ -105,65 +105,62 @@ def write_csv(path: Path, header, *columns) -> None:
     Numbers get 17 significant digits, None an empty cell, strings stay as
     they are.  Unequal columns, a header that does not name each column and a
     non-finite value raise ValueError before the file opens; the last names
-    the file, column and data row of the first one in row order.
+    the file, column and data row of the first one in row order.  The bytes
+    are csv.writer's, without its module: one row template per table, with a
+    %.17g slot per numeric column and a %s slot, filled by _csv_field, per other.
     """
-    finite = np.column_stack([_finite(column) for column, _ in zip(columns, header, strict=True)])
+    values = [np.asarray(column) for column, _ in zip(columns, header, strict=True)]
+    numeric = [v.dtype.kind in "iuf" for v in values]
+    finite = np.column_stack([np.isfinite(v) if num else [
+        x is None or isinstance(x, str) or math.isfinite(x) for x in column]
+        for v, num, column in zip(values, numeric, columns)])
     if not finite.all():
         row, index = divmod(int(np.argmin(finite)), len(columns))
         raise ValueError(f"{Path(path).name}: column {header[index]!r}, data row {row + 1}: "
                          f"cannot serialise non-finite value {float(columns[index][row])!r}")
+    # csv.writer quotes a row whose only field is empty, so that it is not a blank line
+    empty = '""' if len(columns) == 1 else ""
+    line = ",".join("%.17g" if num else "%s" for num in numeric) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(_csv_field(name, empty) for name in header) + "\r\n")
         for start in range(0, len(finite), _CSV_BLOCK_ROWS):
             stop = start + _CSV_BLOCK_ROWS
-            cells = [["" if x is None else x if isinstance(x, str) else "%.17g" % x
-                      for x in np.asarray(column[start:stop], dtype=object)] for column in columns]
-            writer.writerows(zip(*cells, strict=True))
+            cells = [v[start:stop].tolist() if num else
+                     [_csv_field(x, empty) for x in np.asarray(column[start:stop], dtype=object)]
+                     for v, num, column in zip(values, numeric, columns)]
+            fh.write("".join(line % row for row in zip(*cells)))
 
 
-def _svg_num(x: float) -> str:
-    return format(float(x), ".6g")
-
-
-def _axis(values: list[float]) -> tuple[float, float, list[float]]:
+def _axis(values: np.ndarray) -> tuple[float, float, np.ndarray]:
     """The two end labels of an axis and how far along it each value lies, in [0, 1].
 
     A constant series lies mid-axis, between labels half its magnitude (at
     least 0.5) either side.  Fractions are taken on halved values, so that
     no span of finite values overflows.
     """
-    lo, hi = min(values), max(values)
+    listed = values.tolist()
+    lo, hi = min(listed), max(listed)
     if hi == lo:
         pad = 0.5 * max(1.0, abs(lo))
         lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
-        return lo, hi, [0.5] * len(values)
+        return lo, hi, np.full(len(values), 0.5)
     span = hi / 2 - lo / 2
-    return lo, hi, [(v / 2 - lo / 2) / span for v in values]
+    return lo, hi, (values / 2 - lo / 2) / span
 
 
-def write_svg_polyline(
-    path: Path,
-    xs,
-    ys,
-    *,
-    title: str,
-    x_label: str,
-    y_label: str,
-) -> None:
+def write_svg_polyline(path: Path, xs, ys, *, title: str, x_label: str, y_label: str) -> None:
     """Minimal static plot: an axes box, extreme-value tick labels, one polyline."""
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if len(xs) != len(ys) or not xs:
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equal-length, nonempty sequences")
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
     plot_w = _SVG_WIDTH - margin_left - margin_right
     plot_h = _SVG_HEIGHT - margin_top - margin_bottom
     x_min, x_max, x_frac = _axis(xs)
     y_min, y_max, y_frac = _axis(ys)
-    points = " ".join(f"{_svg_num(margin_left + fx * plot_w)},"
-                      f"{_svg_num(margin_top + (1.0 - fy) * plot_h)}"
-                      for fx, fy in zip(x_frac, y_frac))
+    px = (margin_left + x_frac * plot_w).tolist()
+    py = (margin_top + (1.0 - y_frac) * plot_h).tolist()
+    points = " ".join(map("%.6g,%.6g".__mod__, zip(px, py)))
     x0, x1 = margin_left, margin_left + plot_w
     y0, y1 = margin_top, margin_top + plot_h
     lines = [
@@ -175,13 +172,13 @@ def write_svg_polyline(
         f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
         f'<text x="{x0}" y="{y1 + 18}" text-anchor="middle" font-size="11" '
-        f'font-family="sans-serif">{_svg_num(x_min)}</text>',
+        f'font-family="sans-serif">{x_min:.6g}</text>',
         f'<text x="{x1}" y="{y1 + 18}" text-anchor="middle" font-size="11" '
-        f'font-family="sans-serif">{_svg_num(x_max)}</text>',
+        f'font-family="sans-serif">{x_max:.6g}</text>',
         f'<text x="{x0 - 6}" y="{y1 + 4}" text-anchor="end" font-size="11" '
-        f'font-family="sans-serif">{_svg_num(y_min)}</text>',
+        f'font-family="sans-serif">{y_min:.6g}</text>',
         f'<text x="{x0 - 6}" y="{y0 + 4}" text-anchor="end" font-size="11" '
-        f'font-family="sans-serif">{_svg_num(y_max)}</text>',
+        f'font-family="sans-serif">{y_max:.6g}</text>',
         f'<text x="{(x0 + x1) / 2:.6g}" y="{_SVG_HEIGHT - 12}" text-anchor="middle" '
         f'font-size="12" font-family="sans-serif">{x_label}</text>',
         f'<text x="16" y="{(y0 + y1) / 2:.6g}" text-anchor="middle" font-size="12" '

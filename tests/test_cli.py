@@ -215,6 +215,16 @@ class TestFilamentCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "manifest.json").exists()
 
+    def test_subnormal_sweep_exits_2_naming_the_eta_sweep(self, tmp_path, capfd):
+        out = tmp_path / "x"
+        assert run("--command", "filament", "--out", str(out),
+                   "--eta", "1e-320,1e-310,1e-300") == 2
+        # capfd, not capsys: a failing LAPACK fit prints to the stdout descriptor
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eta sweep [1e-320, 1e-310, 1e-300]: ")
+        assert not (out / "manifest.json").exists()
+
 
 class TestFrenetCommand:
     def test_straight_line_defect_is_tiny(self, tmp_path):

@@ -215,6 +215,11 @@ class TestClassifyDynamo:
         with pytest.raises(ValueError):
             classify_dynamo([(0.1, 0.0), (0.1, 0.0), (0.1, 0.0)], tau=1.0)
 
+    def test_subnormal_sweep_error_names_the_eta_sweep(self):
+        samples = [(eta, 0.5 * eta) for eta in (1e-320, 1e-310, 1e-300)]
+        with pytest.raises(ValueError, match=r"^eta sweep \[1e-320, 1e-310, 1e-300\]: "):
+            classify_dynamo(samples, tau=1.0)
+
     def test_complex_rates_classified_through_real_part(self):
         samples = [(eta, complex(0.3 * eta, 0.1)) for eta in (0.1, 0.2, 0.5, 1.0)]
         assert classify_dynamo(samples, tau=1.0) == REGIME_SLOW

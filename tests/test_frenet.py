@@ -32,6 +32,17 @@ def helix_frame(kappa: float, tau: float, s: float) -> FrenetFrame:
     return FrenetFrame(t, n, bb)
 
 
+def frame_defect(frame: np.ndarray) -> float:
+    """Orthonormality defect of a (3, 3) triad, summed in Python floats in _frame_defects' order."""
+    t, n, b = frame.tolist()
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    return max(abs(dot(t, n)), abs(dot(t, b)), abs(dot(n, b)),
+               *(abs(math.sqrt(dot(u, u)) - 1.0) for u in (t, n, b)))
+
+
 def frame_distance(f1: FrenetFrame, f2: FrenetFrame) -> float:
     return max(
         float(np.max(np.abs(f1.t - f2.t))),
@@ -198,6 +209,30 @@ class TestIntegrateFrame:
         assert traj.reorthonormalizations
         assert traj.max_defect == max(defect for _, defect in traj.reorthonormalizations)
         assert float(traj.defects.max()) <= 1e-8
+
+    @pytest.mark.parametrize("kappa,span,step,n_events", [
+        (3.0, 100.0, 0.05, 2000),  # the coarse CLI run: an event on every step
+        (3.0, 40.0, 0.5, 80),
+        (3.0, 40.25, 0.5, 81),     # the shortened last step triggers an event
+        (3.0, 0.62, 0.02, 1),      # 31 steps, the only event on the last one
+        (3.0, 0.6, 0.02, 0),       # the same run one step short: no event
+    ])
+    @pytest.mark.parametrize("as_callable", [False, True], ids=["propagator", "stage-loop"])
+    def test_stored_defects_after_events(self, kappa, span, step, n_events, as_callable):
+        # the scan after an event records the re-orthonormalised frame's defect
+        profile = (CurveProfile(kappa=lambda s: kappa, tau=lambda s: 0.0) if as_callable
+                   else CurveProfile.constant(kappa, 0.0))
+        traj = integrate_frame(profile, 0.0, span, step, FrenetFrame.canonical())
+        assert traj.arclengths[-1] == span
+        assert [frame_defect(frame) for frame in traj.frames] == traj.defects.tolist()
+        events = traj.reorthonormalizations
+        # a re-orthonormalised frame is tight enough to pass FrenetFrame's checks
+        for k in np.searchsorted(traj.arclengths, [s for s, _ in events]):
+            assert FrenetFrame(*traj.frames[k]).orthonormality_defect() == traj.defects[k]
+        assert len(events) == n_events
+        assert [s for s, _ in events][-1:] == ([span] if n_events else [])
+        assert traj.max_defect == (max(defect for _, defect in events) if events
+                                   else float(traj.defects[1:].max()))
 
     def test_non_finite_frame_is_rejected(self):
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):

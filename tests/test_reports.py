@@ -1,12 +1,49 @@
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynamokit.cli import MAX_TABLE_ROWS
 from dynamokit.reports import format_float, json_dumps, write_csv, write_json, write_svg_polyline
+
+# floats as the writer sees them: subnormals, -0.0 and the ends of the finite range drawn often
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308]))
+_INTS = st.integers(-2**70, 2**70)  # int64 columns and, past 2**63, object columns
+# text with every character csv.writer quotes on, plus leading and trailing spaces
+_TEXT = st.text(st.sampled_from(',"\r\n \'a') | st.characters(blacklist_categories=("Cs",)),
+                max_size=6)
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header and 1-4 equal-length columns of mixed kinds, as the runners pass them."""
+    rows = draw(st.integers(0, 12))
+    cells = lambda elements: st.lists(elements, min_size=rows, max_size=rows)  # noqa: E731
+    kinds = st.one_of(
+        cells(_FLOATS), cells(_FLOATS).map(np.array), cells(_INTS), cells(_FLOATS | _INTS),
+        st.integers(-2**62, 2**62).map(lambda start: range(start, start + rows)),
+        cells(st.one_of(st.none(), _TEXT, _FLOATS, _INTS)), cells(st.sampled_from([None, ""])),
+    )
+    columns = draw(st.lists(kinds, min_size=1, max_size=4))
+    header = draw(st.lists(_TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+def _reference_csv(header, columns) -> bytes:
+    """The table written row by row through csv.writer, numbers with format(x, ".17g")."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([cell if cell is None or isinstance(cell, str) else format(cell, ".17g")
+                         for cell in row])
+    return out.getvalue().encode("utf-8")
 
 
 class TestFloatSerialization:
@@ -72,6 +109,14 @@ class TestWriters:
                 writer.writerow([str(cell) if isinstance(cell, (int, str)) else
                                  "" if cell is None else format(cell, ".17g") for cell in row])
         assert path.read_bytes() == reference.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_csv_tables())
+    def test_csv_bytes_equal_csv_writer_reference(self, tmp_path_factory, table):
+        header, columns = table
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, *columns)
+        assert path.read_bytes() == _reference_csv(header, columns)
 
     def test_csv_integer_column_formats_like_str(self, tmp_path):
         path = tmp_path / "n.csv"

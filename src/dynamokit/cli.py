@@ -32,6 +32,8 @@ _FORMATS = ("csv", "json", "svg")
 # in the kernel and in every writer, so larger requests are rejected up front.
 MAX_TABLE_ROWS = 10**6
 _TABLE_FLAGS = ("nodes", "growth-steps", "orbit-steps")
+# Largest step times rotation rate at which classical RK4 does not amplify the frame
+_RK4_STABLE = 2.0 * math.sqrt(2.0)
 
 __all__ = ["InputError", "MAX_TABLE_ROWS", "RunConfig", "main"]
 
@@ -397,6 +399,13 @@ def run_filament_sweep(cfg: RunConfig) -> None:
 
 def run_frenet(cfg: RunConfig) -> None:
     p = cfg.parameters
+    # RK4 on the frame's rotation eigenvalues +-i*w is stable for h*w <= 2*sqrt(2), where
+    # |R(iy)|^2 = 1 - y^6/72 + y^8/576 reaches 1; past it every step amplifies the frame
+    # and the re-orthonormalised frames no longer follow the curve
+    taken = min(p["step"], p["s-end"] - p["s-start"]) * math.hypot(p["kappa0"], p["tau0"])
+    if taken > _RK4_STABLE:
+        raise InputError(f"--step {p['step']!r}: the step times hypot(kappa0, tau0) is "
+                         f"{taken:.6g}, above RK4's stability bound 2*sqrt(2) = {_RK4_STABLE:.6g}")
     profile = frenet.CurveProfile.constant(p["kappa0"], p["tau0"])
     trajectory = frenet.integrate_frame(
         profile, p["s-start"], p["s-end"], p["step"], frenet.FrenetFrame.canonical()

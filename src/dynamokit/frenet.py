@@ -197,7 +197,9 @@ class _FrameSamples(Sequence):
     def __len__(self) -> int:
         return len(self._trajectory.arclengths)
 
-    def __getitem__(self, index: int) -> tuple[float, FrenetFrame]:
+    def __getitem__(self, index: int | slice):
+        if isinstance(index, slice):
+            return [self[k] for k in range(len(self))[index]]
         trajectory = self._trajectory
         return float(trajectory.arclengths[index]), FrenetFrame(*trajectory.frames[index])
 
@@ -227,17 +229,55 @@ class FrameTrajectory:
         return FrenetFrame(*self.frames[-1])
 
 
-def _gram_schmidt(y: np.ndarray) -> np.ndarray:
-    """Unit t, n normal to t, b = t x n, from one y.tolist(); the next scan takes its defect."""
-    (t0, t1, t2), (n0, n1, n2), _ = y.tolist()
-    norm = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2) or math.nan  # a zero row has no direction
-    t0, t1, t2 = t0 / norm, t1 / norm, t2 / norm
-    d = n0 * t0 + n1 * t1 + n2 * t2
-    n0, n1, n2 = n0 - d * t0, n1 - d * t1, n2 - d * t2
-    norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2) or math.nan
-    n0, n1, n2 = n0 / norm, n1 / norm, n2 / norm
-    return np.array([(t0, t1, t2), (n0, n1, n2),
-                     (t1 * n2 - t2 * n1, t2 * n0 - t0 * n2, t0 * n1 - t1 * n0)])
+def _triad_defect(y) -> float:
+    """_frame_defects of one triad given as its nine entries, in the same operation order."""
+    t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
+    return max(abs(t0 * n0 + t1 * n1 + t2 * n2), abs(t0 * b0 + t1 * b1 + t2 * b2),
+               abs(n0 * b0 + n1 * b1 + n2 * b2), abs(math.sqrt(t0 * t0 + t1 * t1 + t2 * t2) - 1.0),
+               abs(math.sqrt(n0 * n0 + n1 * n1 + n2 * n2) - 1.0),
+               abs(math.sqrt(b0 * b0 + b1 * b1 + b2 * b2) - 1.0))
+
+
+def _gram_schmidt(y, s: float, defect: float, events: list) -> tuple[tuple, float]:
+    """Gram-Schmidt of a frame flagged at s with this defect, an event per pass (t and n nearly
+    parallel need two): unit t, n normal to t, b = t x n and their defect.  Raises if not finite."""
+    while True:
+        events.append((s, defect))
+        t0, t1, t2, n0, n1, n2 = y[:6]
+        norm = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2) or math.nan  # a zero row has no direction
+        t0, t1, t2 = t0 / norm, t1 / norm, t2 / norm
+        d = n0 * t0 + n1 * t1 + n2 * t2
+        n0, n1, n2 = n0 - d * t0, n1 - d * t1, n2 - d * t2
+        norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2) or math.nan
+        n0, n1, n2 = n0 / norm, n1 / norm, n2 / norm
+        # unit t and n bound every entry, so the sum is finite exactly when all of them are
+        if not math.isfinite(t0 + t1 + t2 + n0 + n1 + n2):
+            raise ValueError(f"frame is not finite at s = {s!r}")
+        y = t0, t1, t2, n0, n1, n2, t1 * n2 - t2 * n1, t2 * n0 - t0 * n2, t0 * n1 - t1 * n0
+        defect = _triad_defect(y)
+        if defect <= ORTHONORMALITY_TOL:
+            return y, defect
+
+
+def _dense_steps(e, flat, defects, arclengths, i: int, n_full: int, events: list) -> int:
+    """Steps y <- E y + y, E = P - I, on Python floats from an event at i to a clean step."""
+    e00, e01, e02, e10, e11, e12, e20, e21, e22 = e.ravel().tolist()
+    y, clean = flat[i].tolist(), False
+    while not clean and i < n_full:
+        t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
+        y = (e00 * t0 + e01 * n0 + e02 * b0 + t0, e00 * t1 + e01 * n1 + e02 * b1 + t1,
+             e00 * t2 + e01 * n2 + e02 * b2 + t2, e10 * t0 + e11 * n0 + e12 * b0 + n0,
+             e10 * t1 + e11 * n1 + e12 * b1 + n1, e10 * t2 + e11 * n2 + e12 * b2 + n2,
+             e20 * t0 + e21 * n0 + e22 * b0 + b0, e20 * t1 + e21 * n1 + e22 * b1 + b1,
+             e20 * t2 + e21 * n2 + e22 * b2 + b2)
+        i, defect = i + 1, _triad_defect(y)
+        if defect <= ORTHONORMALITY_TOL and not math.isfinite(sum(y)):
+            defect = math.nan  # max() passes over a NaN; the sum of entries near 1 does not
+        clean = defect <= ORTHONORMALITY_TOL
+        if not clean:
+            y, defect = _gram_schmidt(y, arclengths.item(i), defect, events)
+        flat[i], defects[i] = y, defect
+    return i
 
 
 def _rk4_increment(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray, h: float,
@@ -264,14 +304,15 @@ def integrate_frame(
     Non-finite bounds or step, and spans needing more than MAX_STEPS steps,
     are rejected before anything is allocated.
     Orthonormality drift beyond ORTHONORMALITY_TOL triggers a Gram-Schmidt
-    re-orthonormalisation, recorded in the trajectory; the new frame's defect
-    comes from the next chunk's scan, or after the last step from one call.
+    re-orthonormalisation, recorded in the trajectory with the drift it removed.
 
     A constant profile advances by the one-step RK4 matrix P = I + hA +
     (hA)^2/2 + (hA)^3/6 + (hA)^4/24 in chunks P^1..P^m y, scanned for the
     first frame above the tolerance; m halves after an event and doubles
-    after a clean chunk, up to 256.  A variable profile (and a shortened
-    final step) takes one RK4 stage step at a time through the same loop.
+    after a clean chunk, up to 256.  Once events have shrunk m to 1, the
+    steps run on nine Python floats, each with its defect and event, up to
+    the first clean step; then chunks resume at m = 2.  A variable profile
+    (and a shortened final step) takes one RK4 stage step at a time.
     """
     if not all(map(math.isfinite, (s_start, s_end, step))):
         raise ValueError(f"s_start, s_end and step must be finite, got {s_start}, {s_end}, {step}")
@@ -295,9 +336,9 @@ def integrate_frame(
     if n_steps:
         arclengths[-1] = s_end
     frames = np.empty((n_steps + 1, 3, 3))
+    flat = frames.reshape(-1, 9)  # a view: one row of nine entries per frame
     defects = np.empty(n_steps + 1)
     frames[0] = initial.t, initial.n, initial.b
-    y = frames[0]
     defects[0] = initial.orthonormality_defect()
     constant = (n_steps > 0 and profile._kappa_const is not None
                 and profile._tau_const is not None)
@@ -306,10 +347,10 @@ def integrate_frame(
         # E_k = P^k - I for k = 1, 2, ..., where y -> P y = y + E_1 y is one RK4 step.
         # Kept apart from I, each entry is rounded relative to the increment, not to 1.
         increments = _rk4_increment(a, a, a, step, np.eye(3))[None]
-    reorthonormalizations = []
-    max_defect = 0.0
-    i, chunk, lead = 0, 1, 0
+    events, max_defect = [], 0.0
+    i, chunk = 0, 1
     while i < n_steps:
+        y = frames[i]
         if constant and i < n_full:
             m = min(chunk, n_full - i)
             while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
@@ -321,33 +362,28 @@ def integrate_frame(
             s, h = float(arclengths[i]), (step if i < n_full else remainder)
             a0, a_mid, a1 = (a, a, a) if constant else (coeff(s), coeff(s + 0.5 * h), coeff(s + h))
             frames[i + 1] = y + _rk4_increment(a0, a_mid, a1, h, y)
-        # after an event the scan starts one frame early, at the re-orthonormalised frame
-        first, stop = i + 1 - lead, i + m
-        scanned = _frame_defects(frames[first:stop + 1])
-        worst = float(np.maximum.reduce(scanned))
+        scanned = _frame_defects(frames[i + 1:i + m + 1])
+        worst, stop = float(np.maximum.reduce(scanned)), i + m
         if not worst <= ORTHONORMALITY_TOL:
             # the first frame above the tolerance, or with a NaN defect, ends the chunk
-            stop = first + int(np.argmin(scanned <= ORTHONORMALITY_TOL))
-            worst = float(scanned[stop - first])
-        defects[first:stop + 1] = scanned[:stop + 1 - first]
+            stop = i + 1 + int(np.argmin(scanned <= ORTHONORMALITY_TOL))
+            worst = float(scanned[stop - i - 1])
+        defects[i + 1:stop + 1] = scanned[:stop - i]
         max_defect = max(max_defect, worst)
-        i, lead = stop, 0
-        y = frames[i]
+        i = stop
         if worst <= ORTHONORMALITY_TOL:
             chunk = min(2 * chunk, _MAX_CHUNK)
             continue
-        s = float(arclengths[i])
-        reorthonormalizations.append((s, worst))
-        y = frames[i] = _gram_schmidt(y)
         # a non-finite frame has a non-finite defect, so only a flagged frame can be one
-        if not np.isfinite(y).all():
-            raise ValueError(f"frame is not finite at s = {s!r}")
-        chunk, lead = max(chunk // 2, 1), 1
-    if lead:  # an event on the last step: no later scan takes the new frame's defect
-        defects[i] = _frame_defects(frames[i:])[0]
+        flat[i], defects[i] = _gram_schmidt(flat[i].tolist(), arclengths.item(i), worst, events)
+        chunk = max(chunk // 2, 1)
+        if constant and chunk == 1 and i < n_full:  # events on every step: leave numpy
+            i, chunk = _dense_steps(increments[0], flat, defects, arclengths, i, n_full, events), 2
+    # dense steps and second Gram-Schmidt passes add events only, each above every clean defect
+    max_defect = max([max_defect, *(defect for _, defect in events)])
     for array in (arclengths, frames, defects):
         array.setflags(write=False)
-    return FrameTrajectory(arclengths, frames, defects, reorthonormalizations, max_defect)
+    return FrameTrajectory(arclengths, frames, defects, events, max_defect)
 
 
 def accumulated_rotation_angle(trajectory: FrameTrajectory) -> float:
@@ -400,7 +436,10 @@ def stretch_factor(r: float, kappa: float, theta: float) -> float:
 
     A nonpositive result means the tube is thicker than the curvature radius;
     that degeneracy is warned about (MetricDegeneracyWarning), not rejected.
+    A non-finite argument is rejected, as it would yield no warnable value.
     """
+    if not all(map(math.isfinite, (r, kappa, theta))):
+        raise ValueError(f"r, kappa and theta must be finite, got {r}, {kappa}, {theta}")
     if r < 0.0:
         raise ValueError("tube radius must be nonnegative")
     k = 1.0 - r * kappa * math.cos(theta)

@@ -9,9 +9,9 @@ convenience.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii  # json.dumps(str), minus its set-up per call
 from pathlib import Path
 
 import numpy as np
@@ -58,12 +58,12 @@ def _dumps(obj, indent: int, key_path: str) -> str:
         except ValueError as exc:
             raise ValueError(f"{key_path or 'top level'}: {exc}") from None
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{inner}{json.dumps(str(key))}: "
+            f"{inner}{encode_basestring_ascii(str(key))}: "
             + _dumps(value, indent + 1, f"{key_path}.{key}" if key_path else str(key))
             for key, value in obj.items()
         )

@@ -256,6 +256,20 @@ class TestFrenetCommand:
         assert run("--command", "frenet", "--out", str(out), flag, value) == 2
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv,code", [
+        (["--kappa0", "1e10", "--s-end", "1"], 2),
+        (["--kappa0", "2.83", "--tau0", "0", "--step", "1"], 2),
+        (["--kappa0", "2.8", "--tau0", "0", "--step", "1", "--s-end", "5"], 0),
+        (["--kappa0", "1", "--step", "100", "--s-end", "0.001"], 0),  # the step taken is the span
+    ])
+    def test_step_past_rk4_stability_bound_exits_2(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "x"
+        assert run("--command", "frenet", "--out", str(out), *argv) == code
+        assert (out / "manifest.json").exists() == (code == 0)
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("error: --step ") and "2*sqrt(2) = 2.82843" in err
+
     @pytest.mark.parametrize("argv,events", [
         (["--s-end", "1", "--step", "0.01"], False),
         (["--kappa0", "3", "--tau0", "0", "--step", "0.05", "--s-end", "10"], True),

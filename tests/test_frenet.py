@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dynamokit import frenet
 from dynamokit.frenet import (
     ORTHONORMALITY_TOL,
     CurveProfile,
@@ -201,6 +202,24 @@ class TestIntegrateFrame:
         with pytest.raises(ValueError):
             traj.final_frame
 
+    def test_samples_slice_to_validated_pairs(self):
+        traj = integrate_frame(
+            CurveProfile.constant(1.0, 0.0), 0.0, 1.0, 0.25, FrenetFrame.canonical()
+        )
+        pairs = traj.samples[1:3]
+        assert isinstance(pairs, list) and [s for s, _ in pairs] == [0.25, 0.5]
+        assert all(isinstance(frame, FrenetFrame) for _, frame in pairs)
+        np.testing.assert_array_equal(np.array([pairs[1][1].t, pairs[1][1].n, pairs[1][1].b]),
+                                      traj.frames[2])
+        assert [s for s, _ in traj.samples[::-2]] == [1.0, 0.5, 0.0]
+        assert traj.samples[3:1] == [] and traj.samples[10:] == []
+        broken = traj.frames.copy()
+        broken[2, 2] *= -1.0
+        traj.frames = broken
+        assert len(traj.samples[:2]) == 2
+        with pytest.raises(ValueError, match="right-handed"):
+            traj.samples[1:3]
+
     def test_coarse_run_defects_follow_reorthonormalization(self):
         traj = integrate_frame(
             CurveProfile.constant(3.0, 0.0), 0.0, 40.0, 0.5, FrenetFrame.canonical()
@@ -315,6 +334,62 @@ class TestPropagatorMatchesStageLoop:
         assert [frame.orthonormality_defect() for _, frame in traj.samples] == traj.defects.tolist()
 
 
+class TestDenseEventSteps:
+    """Runs where every step re-orthonormalises leave the chunked scan for Python floats."""
+
+    @settings(max_examples=10, deadline=None)
+    @example(kappa=3.0, tau=0.0, rate=0.15, n_full=2000, fraction=0.0)  # the coarse CLI run
+    @example(kappa=5.0, tau=-1.0, rate=2.8, n_full=3000, fraction=0.5)
+    @given(
+        kappa=st.floats(2.0, 5.0),
+        tau=st.floats(-1.0, 1.0),
+        rate=st.floats(0.15, 2.8),  # step times hypot(kappa, tau)
+        n_full=st.integers(1, 3000),
+        fraction=st.just(0.0) | st.floats(0.1, 0.9),
+    )
+    def test_matches_stage_loop(self, kappa, tau, rate, n_full, fraction):
+        step = rate / math.hypot(kappa, tau)
+        span = (n_full + fraction) * step
+        propagated, stage = propagator_and_stage_runs(kappa, tau, span, step)
+        near = np.append(stage.defects, [d for _, d in stage.reorthonormalizations])
+        assume(np.abs(near - ORTHONORMALITY_TOL).min() > 1e-10)
+
+        events = [s for s, _ in propagated.reorthonormalizations]
+        assert len(events) >= n_full  # an event on every full step: the dense regime
+        assert events == [s for s, _ in stage.reorthonormalizations]
+        frame_bound = 1e-12 + 4.0 * sys.float_info.epsilon * span * math.hypot(kappa, tau)
+        assert np.abs(propagated.frames - stage.frames).max() <= frame_bound
+        assert np.abs(propagated.defects - stage.defects).max() <= 1e-12
+        assert abs(propagated.max_defect - stage.max_defect) <= 1e-12
+        assert [frame_defect(frame) for frame in propagated.frames] == propagated.defects.tolist()
+        for k in np.searchsorted(propagated.arclengths, events):
+            assert FrenetFrame(*propagated.frames[k]).orthonormality_defect() <= ORTHONORMALITY_TOL
+
+    @staticmethod
+    def _dense_steps_with(monkeypatch, matrix):
+        """Let the dense loop step with this matrix in place of E = P - I."""
+        dense = frenet._dense_steps
+        monkeypatch.setattr(frenet, "_dense_steps", lambda e, *args: dense(np.array(matrix), *args))
+
+    def test_non_finite_frame_in_dense_loop_is_rejected(self, monkeypatch):
+        self._dense_steps_with(monkeypatch, np.full((3, 3), math.nan))
+        # the first event, at s = 0.05, comes from the chunked scan; the dense loop takes step 2
+        with pytest.raises(ValueError, match=r"frame is not finite at s = 0\.1$"):
+            integrate_frame(CurveProfile.constant(3.0, 0.0), 0.0, 1.0, 0.05,
+                            FrenetFrame.canonical())
+
+    def test_nan_that_max_passes_over_is_an_event(self, monkeypatch):
+        # t and n stay put and b turns NaN: the max() in the defect skips the NaN terms of b,
+        # the other terms are within the tolerance, and Gram-Schmidt rebuilds b from t and n
+        self._dense_steps_with(monkeypatch, [[0.0] * 3, [0.0] * 3, [math.nan] * 3])
+        traj = integrate_frame(CurveProfile.constant(3.0, 0.0), 0.0, 1.0, 0.05,
+                               FrenetFrame.canonical())
+        defects = [d for _, d in traj.reorthonormalizations]
+        assert len(defects) == 20 and defects[0] > ORTHONORMALITY_TOL
+        assert all(math.isnan(d) for d in defects[1:])
+        assert np.isfinite(traj.frames).all() and (traj.frames[2:] == traj.frames[1]).all()
+
+
 class TestCurveProfile:
     def test_fd_curvature_derivative_default(self):
         profile = CurveProfile(kappa=lambda s: math.sin(s) + 2.0, tau=0.0)
@@ -383,3 +458,11 @@ class TestStretchFactor:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             stretch_factor(-0.1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0), (0.5, math.nan, 0.0), (0.5, -math.inf, 0.0),
+        (0.5, 1.0, math.nan), (0.5, 1.0, math.inf),
+    ])
+    def test_rejects_non_finite_arguments(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            stretch_factor(*args)

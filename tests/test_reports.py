@@ -84,6 +84,13 @@ class TestJsonDumps:
         with pytest.raises(TypeError):
             json_dumps({"bad": object()})
 
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.text(), value=st.text())
+    def test_strings_and_keys_quoted_as_json_dumps_quotes_them(self, key, value):
+        assert json_dumps(value) == json.dumps(value)
+        doc = {key: value, "list": [key]}
+        assert json_dumps(doc) == json.dumps(doc, indent=2)
+
 
 class TestWriters:
     def test_csv_cells(self, tmp_path):

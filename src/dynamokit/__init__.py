@@ -17,69 +17,9 @@ CSV/JSON reports and static SVG plots for all four.
 
 __version__ = "0.1.0"
 
-from .filament import (
-    FilamentMatrix,
-    FilamentParams,
-    GrowthRateResult,
-    build_filament_matrix,
-    classify_dynamo,
-    determinant_condition_residual,
-    filament_gradient,
-    filament_line_element,
-    solve_growth_rate,
-)
-from .frenet import (
-    CurveProfile,
-    FrameTrajectory,
-    FrenetFrame,
-    MetricDegeneracyWarning,
-    accumulated_rotation_angle,
-    frenet_rhs,
-    integrate_frame,
-    stretch_factor,
-    time_evolution_rhs,
-    twist_angle,
-)
-from .maps import (
-    FieldVector,
-    LinearTorusMap,
-    MapClassification,
-    TorusPoint,
-    apply_map,
-    arnold_line_element,
-    classify,
-    growth_rate,
-    growth_rate_per_step,
-    iterate_orbit,
-    make_cat_map,
-    make_cat_shear_map,
-    make_thin_tube_map,
-    make_tube_twist_map,
-    make_twist_map,
-    transport_field,
-)
-from .tube import (
-    QuadraticEigenproblem,
-    RadialGrid,
-    TubeFlowField,
-    alpha_effect,
-    alpha_effect_discrepancy,
-    beltrami_alignment,
-    compact_operator_apply,
-    eigenvalue_discrepancy_report,
-    eliminate_eigenvalue,
-    incompressibility_defect,
-    log_radial_check,
-    paper_eigenproblem,
-    poloidal_residual,
-    pressure_blowup_check,
-    pressure_profile,
-    radial_pressure_residual,
-    toroidal_residual,
-    tube_gradient,
-    tube_line_element,
-    velocity_profile,
-    vorticity,
-)
+from .filament import *  # noqa: F401,F403
+from .frenet import *  # noqa: F401,F403
+from .maps import *  # noqa: F401,F403
+from .tube import *  # noqa: F401,F403
 
 __all__ = [name for name in dir() if not name.startswith("_")]

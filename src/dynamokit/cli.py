@@ -241,11 +241,11 @@ def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, s
 
     Every file is written into a staging directory inside the output directory
     and moved into place only after all writers succeeded, the manifest last.
-    An earlier manifest is removed first, so a run that fails part-way leaves
-    neither a manifest nor any of its own outputs.
+    Before the move, every <command>_* csv/json/svg file of an earlier run
+    that this run does not write is deleted, so the outputs beside a manifest
+    are exactly the ones it describes.
     """
     manifest_path = cfg.output_dir / "manifest.json"
-    manifest_path.unlink(missing_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=cfg.output_dir))
     try:
         if "json" in cfg.formats:
@@ -259,6 +259,11 @@ def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, s
                 write_svg_polyline(staging / f"{cfg.command}_{suffix}.svg", xs, ys,
                                    title=title, x_label=x_label, y_label=y_label)
         write_json(staging / manifest_path.name, manifest)
+        written = {path.name for path in staging.iterdir()}
+        for path in list(cfg.output_dir.iterdir()):
+            if (path.name.partition("_")[0] in PARAM_SCHEMAS and path.suffix[1:] in _FORMATS
+                    and path.name not in written):
+                path.unlink()
         for path in sorted(staging.iterdir(), key=lambda path: path.name == manifest_path.name):
             path.replace(cfg.output_dir / path.name)
     finally:
@@ -450,8 +455,10 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        # removed before the run, so that a run that fails leaves no manifest
+        (cfg.output_dir / "manifest.json").unlink(missing_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory {cfg.output_dir}: {exc}", file=sys.stderr)
+        print(f"error: cannot prepare output directory {cfg.output_dir}: {exc}", file=sys.stderr)
         return 3
     try:
         # The writers reject every non-finite output and name its file, column

@@ -132,8 +132,9 @@ def _frame_defects(frames: np.ndarray) -> np.ndarray:
 class FrenetFrame:
     """Right-handed orthonormal triad (t, n, b), validated on construction.
 
-    Unit norms, pairwise orthogonality and b = t x n must hold within
-    ORTHONORMALITY_TOL.
+    Unit norms and pairwise orthogonality must hold within ORTHONORMALITY_TOL,
+    the defect integrate_frame keeps every stored frame within, and b . (t x n)
+    must be positive; b then lies within about 3 * ORTHONORMALITY_TOL of t x n.
     """
 
     t: np.ndarray
@@ -150,12 +151,13 @@ class FrenetFrame:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        triad = np.array([[self.t, self.n, self.b]])
-        object.__setattr__(self, "_defect", float(_frame_defects(triad)[0]))
+        y = [*self.t.tolist(), *self.n.tolist(), *self.b.tolist()]
+        object.__setattr__(self, "_defect", _triad_defect(y))
         if self._defect > ORTHONORMALITY_TOL:
             raise ValueError("frame is not orthonormal within tolerance")
-        if float(np.max(np.abs(self.b - np.cross(self.t, self.n)))) > ORTHONORMALITY_TOL:
-            raise ValueError("frame is not right-handed (b != t x n)")
+        t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
+        if not b0 * (t1 * n2 - t2 * n1) + b1 * (t2 * n0 - t0 * n2) + b2 * (t0 * n1 - t1 * n0) > 0.0:
+            raise ValueError("frame is not right-handed (b . (t x n) <= 0)")
 
     @classmethod
     def canonical(cls) -> "FrenetFrame":

@@ -254,8 +254,7 @@ def growth_rate_per_step(m: LinearTorusMap, f: FieldVector, n: int) -> float:
     to ln|lambda1| geometrically in n, without the 1/n seed bias of the
     time average.
     """
-    ratios = _iterate_normalized(m, f, n)
-    return math.log(ratios[-1])
+    return _growth_table(m, f, n)[-1][1]
 
 
 def arnold_line_element(lam: float, z: float, dp: float, dq: float, dz: float) -> float:

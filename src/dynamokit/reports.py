@@ -33,14 +33,14 @@ def format_float(x: float) -> str:
     return format(value, FLOAT_FORMAT)
 
 
-def json_dumps(obj, indent: int = 0) -> str:
+def json_dumps(obj) -> str:
     """Serialise to JSON with 17-significant-digit floats and stable ordering.
 
     Dict keys keep insertion order (reports are built deterministically), so
     identical inputs yield identical bytes.  A non-finite value raises
     ValueError naming its key path.
     """
-    return _dumps(obj, indent, "")
+    return _dumps(obj, 0, "")
 
 
 def _dumps(obj, indent: int, key_path: str) -> str:

@@ -288,6 +288,34 @@ class TestFrenetCommand:
         assert bool(traj.reorthonormalizations) == events
 
 
+class TestRerunIntoOneDirectory:
+    def test_rerun_leaves_only_the_outputs_its_manifest_describes(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("--command", "frenet", "--out", str(out), "--s-end", "0.5") == 0
+        assert run("--command", "frenet", "--out", str(out), "--s-end", "1", "--step", "0.01",
+                   "--format", "json") == 0
+        assert sorted(p.name for p in out.iterdir()) == ["frenet_report.json", "manifest.json"]
+        manifest = read_json(out / "manifest.json")
+        assert manifest["formats"] == ["json"] and manifest["parameters"]["s-end"] == "1"
+
+    def test_run_failing_before_its_outputs_leaves_no_manifest(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("--command", "frenet", "--out", str(out), "--s-end", "0.5") == 0
+        assert run("--command", "frenet", "--out", str(out), "--step", "1e-9") == 2
+        assert not (out / "manifest.json").exists()
+
+    def test_other_command_replaces_outputs_and_keeps_unrelated_files(self, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert run("--command", "map", "--out", str(out)) == 0
+        assert run("--command", "tube", "--nodes", "16", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "notes.txt", "tube_pressure.svg", "tube_profiles.csv",
+            "tube_report.json"]
+        assert (out / "notes.txt").read_text() == "kept"
+
+
 class TestConfigAndDeterminism:
     CASES = [
         ("map", ["--map", "cat", "--growth-steps", "20", "--orbit-steps", "10"]),

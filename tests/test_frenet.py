@@ -65,6 +65,14 @@ class TestFrenetFrame:
         with pytest.raises(ValueError):
             FrenetFrame(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, -1.0]))
 
+    @pytest.mark.parametrize("mirror", ["reflected t", "b = -t x n"])
+    def test_rejects_mirrored_helix_frame(self, mirror):
+        frame = helix_frame(1.3, 0.7, 0.4)
+        t, n, b = frame.t, frame.n, frame.b
+        triad = (-t, n, b) if mirror == "reflected t" else (t, n, -np.cross(t, n))
+        with pytest.raises(ValueError, match="right-handed"):
+            FrenetFrame(*triad)
+
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             FrenetFrame(np.array([2.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
@@ -252,6 +260,27 @@ class TestIntegrateFrame:
         assert [s for s, _ in events][-1:] == ([span] if n_events else [])
         assert traj.max_defect == (max(defect for _, defect in events) if events
                                    else float(traj.defects[1:].max()))
+
+    @settings(max_examples=25, deadline=None)
+    @example(kappa=3.0, tau=0.0, step=0.02, n_steps=30, variable=False)  # no event
+    @example(kappa=1.3, tau=0.7, step=0.03, n_steps=10000, variable=False)  # sparse events
+    @example(kappa=3.0, tau=0.0, step=0.05, n_steps=2000, variable=False)  # an event per step
+    @example(kappa=3.0, tau=0.5, step=0.05, n_steps=400, variable=True)
+    @given(
+        kappa=st.floats(0.0, 3.0),
+        tau=st.floats(-1.0, 1.0),
+        step=st.floats(1e-3, 0.05),
+        n_steps=st.integers(0, 2000),
+        variable=st.booleans(),
+    )
+    def test_every_stored_frame_is_a_frenet_frame(self, kappa, tau, step, n_steps, variable):
+        profile = (CurveProfile(kappa=lambda s: kappa * (1.0 + 0.5 * math.sin(s)),
+                                tau=lambda s: tau * math.cos(s)) if variable
+                   else CurveProfile.constant(kappa, tau))
+        traj = integrate_frame(profile, 0.0, n_steps * step, step, FrenetFrame.canonical())
+        frames = [frame for _, frame in traj.samples]
+        assert [frame.orthonormality_defect() for frame in frames] == traj.defects.tolist()
+        assert traj.final_frame.orthonormality_defect() == traj.defects[-1]
 
     def test_non_finite_frame_is_rejected(self):
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):

@@ -3,12 +3,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dynamokit
+from dynamokit import filament, frenet, maps, tube
 
 
 def test_public_names_resolve():
     for name in dynamokit.__all__:
         assert getattr(dynamokit, name) is not None
+
+
+@pytest.mark.parametrize("module", [filament, frenet, maps, tube], ids=lambda m: m.__name__)
+def test_package_exports_each_module_public_name(module):
+    for name in module.__all__:
+        assert name in dynamokit.__all__
+        assert getattr(dynamokit, name) is getattr(module, name)
 
 
 def test_version_string():

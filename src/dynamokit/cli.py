@@ -404,6 +404,10 @@ def run_filament_sweep(cfg: RunConfig) -> None:
 
 def run_frenet(cfg: RunConfig) -> None:
     p = cfg.parameters
+    # before the checks below, which a NaN would pass or name wrongly
+    for key, value in p.items():
+        if not math.isfinite(value):
+            raise InputError(f"--{key} must be finite, got {value!r}")
     # RK4 on the frame's rotation eigenvalues +-i*w is stable for h*w <= 2*sqrt(2), where
     # |R(iy)|^2 = 1 - y^6/72 + y^8/576 reaches 1; past it every step amplifies the frame
     # and the re-orthonormalised frames no longer follow the curve
@@ -411,6 +415,13 @@ def run_frenet(cfg: RunConfig) -> None:
     if taken > _RK4_STABLE:
         raise InputError(f"--step {p['step']!r}: the step times hypot(kappa0, tau0) is "
                          f"{taken:.6g}, above RK4's stability bound 2*sqrt(2) = {_RK4_STABLE:.6g}")
+    # one table row per step: the same cap as the table flags, before anything is allocated;
+    # integrate_frame rejects a step that is not positive
+    requested = (p["s-end"] - p["s-start"]) / p["step"] if p["step"] > 0.0 else 0.0
+    if not requested <= MAX_TABLE_ROWS:
+        raise InputError(f"--step {p['step']!r} from --s-start {p['s-start']!r} to --s-end "
+                         f"{p['s-end']!r} asks for {requested:.10g} steps; at most "
+                         f"{MAX_TABLE_ROWS} are allowed")
     profile = frenet.CurveProfile.constant(p["kappa0"], p["tau0"])
     trajectory = frenet.integrate_frame(
         profile, p["s-start"], p["s-end"], p["step"], frenet.FrenetFrame.canonical()

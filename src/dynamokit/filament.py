@@ -71,6 +71,8 @@ class FilamentParams:
             raise ValueError("curvature kappa must be nonnegative")
         if self.k0 <= 0.0:
             raise ValueError("stretch factor k0 must be positive")
+        if self.k0 * self.k0 == 0.0:  # B = kappa / K0^2 would divide by zero
+            raise ValueError(f"stretch factor k0 = {self.k0!r} is too small: k0^2 underflows to 0")
         if self.gamma_ref == 0.0:
             raise ValueError("reference growth rate gamma_ref must be nonzero")
 
@@ -204,6 +206,8 @@ def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateRes
             )
             continue
         gamma = eta / x
+        if gamma == 0:  # eta / gamma below would divide by zero
+            raise ValueError(f"eta = {eta!r}: the growth rate eta / x underflows to 0")
         roots.append(gamma)
         residuals.append(_relative_residual(eta / gamma, a, b, c))
     regime = REGIME_DEGENERATE if notes else REGIME_SLOW

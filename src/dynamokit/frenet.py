@@ -261,11 +261,19 @@ def _gram_schmidt(y, s: float, defect: float, events: list) -> tuple[tuple, floa
             return y, defect
 
 
-def _dense_steps(e, flat, defects, arclengths, i: int, n_full: int, events: list) -> int:
-    """Steps y <- E y + y, E = P - I, on Python floats from an event at i to a clean step."""
-    e00, e01, e02, e10, e11, e12, e20, e21, e22 = e.ravel().tolist()
-    y, clean = flat[i].tolist(), False
-    while not clean and i < n_full:
+def _dense_steps(e, profile: CurveProfile, flat, defects, arclengths, i: int, n_full: int,
+                 step: float, remainder: float, events: list) -> int:
+    """Steps y <- E y + y on the frame's nine Python floats from sample i, each with its defect
+    and event; a full step takes the given E (a constant profile's E_1), any other its own
+    _step_matrix.  Given E, stops after the first clean full step, else at the end of the run."""
+    full = None if e is None else e.ravel().tolist()
+    n_steps, y, clean = len(arclengths) - 1, flat[i].tolist(), False
+    while i < n_steps and not (clean and full is not None):
+        coeffs = full
+        if full is None or i >= n_full:
+            h = step if i < n_full else remainder
+            coeffs = _step_matrix(profile, arclengths.item(i), h).ravel().tolist()
+        e00, e01, e02, e10, e11, e12, e20, e21, e22 = coeffs
         t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
         y = (e00 * t0 + e01 * n0 + e02 * b0 + t0, e00 * t1 + e01 * n1 + e02 * b1 + t1,
              e00 * t2 + e01 * n2 + e02 * b2 + t2, e10 * t0 + e11 * n0 + e12 * b0 + n0,
@@ -292,6 +300,14 @@ def _rk4_increment(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray, h: float,
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _step_matrix(profile: CurveProfile, s: float, h: float) -> np.ndarray:
+    """E = P - I of the RK4 step of length h from s, which takes y to E y + y."""
+    a0, a_mid, a1 = (_generator(profile.kappa_at(u), profile.tau_at(u))
+                     for u in (s, s + 0.5 * h, s + h))
+    # kept apart from I, each entry is rounded relative to the increment, not to 1
+    return _rk4_increment(a0, a_mid, a1, h, np.eye(3))
+
+
 def integrate_frame(
     profile: CurveProfile,
     s_start: float,
@@ -308,13 +324,13 @@ def integrate_frame(
     Orthonormality drift beyond ORTHONORMALITY_TOL triggers a Gram-Schmidt
     re-orthonormalisation, recorded in the trajectory with the drift it removed.
 
-    A constant profile advances by the one-step RK4 matrix P = I + hA +
-    (hA)^2/2 + (hA)^3/6 + (hA)^4/24 in chunks P^1..P^m y, scanned for the
-    first frame above the tolerance; m halves after an event and doubles
-    after a clean chunk, up to 256.  Once events have shrunk m to 1, the
-    steps run on nine Python floats, each with its defect and event, up to
-    the first clean step; then chunks resume at m = 2.  A variable profile
-    (and a shortened final step) takes one RK4 stage step at a time.
+    The RK4 step of y' = A y is linear: y -> E y + y.  A constant profile's full
+    steps advance in chunks P^1..P^m y, P = I + E_1, scanned for the first frame
+    above the tolerance; m halves after an event and doubles after a clean
+    chunk, up to 256.  All other steps run in one scalar loop on the frame's
+    nine Python floats, each with its defect and event: a variable profile's
+    steps and the shortened final step with their own E, and a constant
+    profile's steps once events shrink m to 1 with E_1, up to a clean step.
     """
     if not all(map(math.isfinite, (s_start, s_end, step))):
         raise ValueError(f"s_start, s_end and step must be finite, got {s_start}, {s_end}, {step}")
@@ -326,9 +342,6 @@ def integrate_frame(
     requested = span / step
     if not requested <= MAX_STEPS:
         raise ValueError(f"{requested:.6g} steps requested; at most {MAX_STEPS} are allowed")
-
-    def coeff(s: float) -> np.ndarray:
-        return _generator(profile.kappa_at(s), profile.tau_at(s))
 
     n_full = int(math.floor(requested + 1e-12))
     remainder = span - n_full * step
@@ -342,47 +355,33 @@ def integrate_frame(
     defects = np.empty(n_steps + 1)
     frames[0] = initial.t, initial.n, initial.b
     defects[0] = initial.orthonormality_defect()
-    constant = (n_steps > 0 and profile._kappa_const is not None
-                and profile._tau_const is not None)
-    if constant:
-        a = coeff(s_start)
-        # E_k = P^k - I for k = 1, 2, ..., where y -> P y = y + E_1 y is one RK4 step.
-        # Kept apart from I, each entry is rounded relative to the increment, not to 1.
-        increments = _rk4_increment(a, a, a, step, np.eye(3))[None]
-    events, max_defect = [], 0.0
-    i, chunk = 0, 1
-    while i < n_steps:
+    events, i, chunk, e1 = [], 0, 1, None
+    if n_full and profile._kappa_const is not None and profile._tau_const is not None:
+        e1 = _step_matrix(profile, s_start, step)
+        increments = e1[None]  # E_k = P^k - I for k = 1, 2, ...
+    while e1 is not None and i < n_full:
+        m = min(chunk, n_full - i)
+        while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
+            last = increments[-1]
+            increments = np.concatenate((increments, increments + last + increments @ last))
         y = frames[i]
-        if constant and i < n_full:
-            m = min(chunk, n_full - i)
-            while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
-                last = increments[-1]
-                increments = np.concatenate((increments, increments + last + increments @ last))
-            frames[i + 1:i + m + 1] = (increments[:m].reshape(-1, 3) @ y).reshape(m, 3, 3) + y
-        else:
-            m = 1
-            s, h = float(arclengths[i]), (step if i < n_full else remainder)
-            a0, a_mid, a1 = (a, a, a) if constant else (coeff(s), coeff(s + 0.5 * h), coeff(s + h))
-            frames[i + 1] = y + _rk4_increment(a0, a_mid, a1, h, y)
-        scanned = _frame_defects(frames[i + 1:i + m + 1])
-        worst, stop = float(np.maximum.reduce(scanned)), i + m
-        if not worst <= ORTHONORMALITY_TOL:
-            # the first frame above the tolerance, or with a NaN defect, ends the chunk
-            stop = i + 1 + int(np.argmin(scanned <= ORTHONORMALITY_TOL))
-            worst = float(scanned[stop - i - 1])
-        defects[i + 1:stop + 1] = scanned[:stop - i]
-        max_defect = max(max_defect, worst)
-        i = stop
-        if worst <= ORTHONORMALITY_TOL:
-            chunk = min(2 * chunk, _MAX_CHUNK)
+        frames[i + 1:i + m + 1] = (increments[:m].reshape(-1, 3) @ y).reshape(m, 3, 3) + y
+        defects[i + 1:i + m + 1] = _frame_defects(frames[i + 1:i + m + 1])
+        # the first frame above the tolerance, or with a NaN defect, ends the chunk
+        k = int(np.argmin(defects[i + 1:i + m + 1] <= ORTHONORMALITY_TOL))
+        if defects.item(i + 1 + k) <= ORTHONORMALITY_TOL:
+            i, chunk = i + m, min(2 * chunk, _MAX_CHUNK)
             continue
+        i, chunk = i + 1 + k, max(chunk // 2, 1)
         # a non-finite frame has a non-finite defect, so only a flagged frame can be one
-        flat[i], defects[i] = _gram_schmidt(flat[i].tolist(), arclengths.item(i), worst, events)
-        chunk = max(chunk // 2, 1)
-        if constant and chunk == 1 and i < n_full:  # events on every step: leave numpy
-            i, chunk = _dense_steps(increments[0], flat, defects, arclengths, i, n_full, events), 2
-    # dense steps and second Gram-Schmidt passes add events only, each above every clean defect
-    max_defect = max([max_defect, *(defect for _, defect in events)])
+        flat[i], defects[i] = _gram_schmidt(flat[i].tolist(), arclengths.item(i), defects.item(i),
+                                            events)
+        if chunk == 1:  # events on every step: leave numpy
+            i, chunk = _dense_steps(e1, profile, flat, defects, arclengths, i, n_full, step,
+                                    remainder, events), 2
+    _dense_steps(e1, profile, flat, defects, arclengths, i, n_full, step, remainder, events)
+    # every stored defect is taken after Gram-Schmidt, so each event's defect is above it
+    max_defect = max([defects[1:].max(initial=0.0).item(), *(defect for _, defect in events)])
     for array in (arclengths, frames, defects):
         array.setflags(write=False)
     return FrameTrajectory(arclengths, frames, defects, events, max_defect)

@@ -204,6 +204,12 @@ class TestFilamentCommand:
     def test_nonpositive_stretch_exits_2(self, tmp_path):
         assert run("--command", "filament", "--out", str(tmp_path / "x"), "--k0", "0") == 2
 
+    def test_stretch_whose_square_underflows_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("--command", "filament", "--out", str(out), "--k0=1e-300") == 2
+        assert "k0" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("etas,message", [
         ("0.1,nan", "parameter eta must be finite"),
         ("0.1,inf", "parameter eta must be finite"),
@@ -254,6 +260,27 @@ class TestFrenetCommand:
     def test_unbounded_or_non_finite_span_exits_2(self, tmp_path, flag, value):
         out = tmp_path / "x"
         assert run("--command", "frenet", "--out", str(out), flag, value) == 2
+        assert not (out / "manifest.json").exists()
+
+    def test_more_steps_than_table_rows_exits_2_before_integrating(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("integrate_frame called")
+
+        monkeypatch.setattr(frenet, "integrate_frame", unreachable)
+        out = tmp_path / "x"
+        assert run("--command", "frenet", "--out", str(out), "--step", "1e-6",
+                   "--s-end", "1.000001") == 2
+        err = capsys.readouterr().err
+        assert "--step" in err and "--s-end" in err and "1000001 steps" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--s-end", "nan"), ("--s-start", "nan"),
+                                            ("--s-end", "inf"), ("--kappa0", "inf")])
+    def test_non_finite_value_exits_2_naming_its_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run("--command", "frenet", "--out", str(out), f"{flag}={value}") == 2
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("argv,code", [

@@ -2,15 +2,18 @@
 
 The parser is fed arbitrary key=value text, JSON documents and raw bytes, and
 may only answer with InputError (exit 2).  Every report, rerun from its own
-manifest.json, reproduces its CSV and JSON byte for byte.  Both run in process.
+manifest.json, reproduces its CSV and JSON byte for byte.  A run with extreme
+flag values (0, subnormals, +-1e300, nan, inf, out-of-range counts) exits 0, 2
+or 3, and leaves a manifest exactly when it exits 0.  All run in process.
 """
 
+import csv
 import json
 import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynamokit import cli
@@ -154,3 +157,93 @@ class TestManifestRerun:
         for name in names:
             if name.endswith((".csv", ".json")):
                 assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308,
+                     math.nan, math.inf, -math.inf]),
+    _floats(-3.0, 3.0),
+)
+EXTREME_INTS = st.sampled_from([-1, 0, 1, 16, cli.MAX_TABLE_ROWS + 1, 2**63])
+# Files each command writes per format; {map} is the --map value.
+OUTPUTS = {
+    "map": {"json": ["map_{map}.json"], "csv": ["map_{map}_growth.csv", "map_{map}_orbit.csv"],
+            "svg": ["map_{map}_growth.svg"]},
+    "tube": {"json": ["tube_report.json"], "csv": ["tube_profiles.csv"],
+             "svg": ["tube_pressure.svg"]},
+    "filament": {"json": ["filament_report.json"], "csv": ["filament_sweep.csv"],
+                 "svg": ["filament_sweep.svg"]},
+    "frenet": {"json": ["frenet_report.json"], "csv": ["frenet_frames.csv"],
+               "svg": ["frenet_defect.svg"]},
+}
+# The longest frenet run drawn; longer ones, up to the row cap, only cost time
+_FRENET_STEPS = 10**4
+
+
+def _extreme_values(command: str):
+    """Extreme values for a few of the command's numeric flags, as strings."""
+    values = {}
+    for key, (converter, *_) in cli.PARAM_SCHEMAS[command].items():
+        if converter is int:
+            values[key] = EXTREME_INTS.map(str)
+        elif converter is float:
+            values[key] = EXTREME_FLOATS.map(repr)
+        elif converter is cli._eta_list:
+            values[key] = st.lists(EXTREME_FLOATS, min_size=1, max_size=4).map(
+                lambda etas: ",".join(map(repr, etas)))
+    return st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=len(values),
+                    unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({key: values[key] for key in keys}))
+
+
+# A command's ordinary parameters, some of them replaced by extreme values
+EXTREME_RUNS = st.sampled_from(COMMANDS).flatmap(lambda command: st.tuples(
+    st.just(command), PARAMETERS[command], _extreme_values(command),
+    st.lists(st.sampled_from(["csv", "json", "svg"]), min_size=1, max_size=3, unique=True),
+))
+
+
+def _no_growth_rate(argv, out: Path) -> bool:
+    """Whether the sweep's CSV, rerun into out, has no growth rate at any eta.
+
+    Such a sweep has no curve to plot and writes no filament_sweep.svg.
+    """
+    assert main([*argv, "--format=csv", "--out", str(out)]) == 0
+    with open(out / "filament_sweep.csv", newline="") as handle:
+        return all(row["re_gamma_1"] == "" for row in csv.DictReader(handle))
+
+
+class TestExtremeValues:
+    @settings(max_examples=100, deadline=None)
+    @example(run=("filament", {"eta": "0.1", "kappa": 1.0, "kappa-prime": 1.0, "k0": 1.0,
+                               "v0": -1.0, "tau": 1.0, "gamma-ref": 1.0},
+                  {"k0": "1e-300"}, ["json"]))  # k0 * k0 underflows to 0
+    @example(run=("filament", {"eta": "0.1", "kappa": 1.0, "kappa-prime": 1.0, "k0": 1.0,
+                               "v0": -1.0, "tau": 1.0, "gamma-ref": 1.0},
+                  {"kappa": "0.0"}, ["svg"]))  # no growth rate: no filament_sweep.svg
+    @given(run=EXTREME_RUNS)
+    def test_exit_code_and_outputs(self, run):
+        command, ordinary, extreme, formats = run
+        if command == "frenet":  # PARAMETERS draws s-end as a span from s-start
+            ordinary = {**ordinary, "s-end": ordinary["s-start"] + ordinary["s-end"]}
+        params = {**{key: str(value) for key, value in ordinary.items()}, **extreme}
+        if command == "frenet":
+            p = {key: float(value) for key, value in params.items()}
+            steps = (p["s-end"] - p["s-start"]) / p["step"] if p["step"] > 0.0 else 0.0
+            assume(not steps > _FRENET_STEPS)
+        argv = ["--command", command, f"--format={','.join(formats)}",
+                *(f"--{key}={value}" for key, value in params.items())]
+        with tempfile.TemporaryDirectory() as root:
+            out = Path(root) / "out"
+            code = main([*argv, "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert (out / "manifest.json").exists() == (code == 0)
+            if code == 0:
+                written = {path.name for path in out.iterdir()}
+                expected = {name.format(**params) for fmt in formats
+                            for name in OUTPUTS[command][fmt]}
+                missing = expected - written
+                if missing == {"filament_sweep.svg"}:
+                    assert _no_growth_rate(argv, out), "filament_sweep.svg missing"
+                else:
+                    assert not missing

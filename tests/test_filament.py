@@ -44,6 +44,8 @@ class TestFilamentParams:
             params(kappa=-1.0)
         with pytest.raises(ValueError):
             params(k0=0.0)
+        with pytest.raises(ValueError, match="k0"):
+            params(k0=1e-300)  # k0^2 underflows to 0
         with pytest.raises(ValueError):
             params(gamma_ref=0.0)
 
@@ -192,6 +194,11 @@ class TestSolveGrowthRate:
     def test_rejects_negative_diffusivity(self):
         with pytest.raises(ValueError):
             solve_growth_rate(-0.1, 1.0, 1.0, 1.0)
+
+    def test_rejects_a_rate_that_underflows(self):
+        # x = 1 +- sqrt(3) and 5e-324 / 2.73 rounds to 0
+        with pytest.raises(ValueError, match="eta = 5e-324"):
+            solve_growth_rate(5e-324, 1.0, 1.0, -2.0)
 
 
 class TestClassifyDynamo:

@@ -419,6 +419,77 @@ class TestDenseEventSteps:
         assert np.isfinite(traj.frames).all() and (traj.frames[2:] == traj.frames[1]).all()
 
 
+def stage_loop_reference(profile: CurveProfile, span: float, step: float):
+    """integrate_frame from the canonical frame at s = 0 as a numpy RK4 stage loop, one step at a
+    time: each frame's defect from _frame_defects, and Gram-Schmidt on every flagged frame."""
+    n_full = int(math.floor(span / step + 1e-12))
+    remainder = span - n_full * step
+    n_steps = n_full + (remainder > 1e-12 * max(1.0, span))
+    arclengths = np.append(0.0, np.arange(1, n_steps + 1) * step)
+    if n_steps:
+        arclengths[-1] = span
+    frames, defects = np.empty((n_steps + 1, 3, 3)), np.empty(n_steps + 1)
+    frames[0], defects[0] = np.eye(3), 0.0
+    events, max_defect = [], 0.0
+
+    def coeff(s):
+        kappa, tau = profile.kappa_at(s), profile.tau_at(s)
+        return np.array([[0.0, kappa, 0.0], [-kappa, 0.0, tau], [0.0, -tau, 0.0]])
+
+    for i in range(n_steps):
+        s, h, y = float(arclengths[i]), (step if i < n_full else remainder), frames[i]
+        a0, a_mid, a1 = coeff(s), coeff(s + 0.5 * h), coeff(s + h)
+        k1 = a0 @ y
+        k2 = a_mid @ (y + 0.5 * h * k1)
+        k3 = a_mid @ (y + 0.5 * h * k2)
+        k4 = a1 @ (y + h * k3)
+        frames[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        defect = float(frenet._frame_defects(frames[i + 1:i + 2])[0])
+        max_defect = max(max_defect, defect)
+        if not defect <= ORTHONORMALITY_TOL:
+            y, defect = frenet._gram_schmidt(frames[i + 1].ravel().tolist(),
+                                             float(arclengths[i + 1]), defect, events)
+            frames[i + 1] = np.reshape(y, (3, 3))
+        defects[i + 1] = defect
+    max_defect = max([max_defect, *(defect for _, defect in events)])
+    return arclengths, frames, defects, events, max_defect
+
+
+class TestVariableProfileMatchesStageLoop:
+    """A variable profile's steps run as y <- E y + y on Python floats, E built for each step."""
+
+    @settings(max_examples=10, deadline=None)
+    @example(a=1.0, b=0.5, c=0.3, step=1e-3, n_full=2000, fraction=0.0)  # no event
+    @example(a=1.4, b=-0.5, c=-0.9, step=0.04, n_full=100, fraction=0.0)  # 17 events
+    @example(a=3.0, b=0.5, c=0.5, step=0.05, n_full=2000, fraction=0.0)  # an event per step
+    @example(a=1.6, b=-0.9, c=-0.6, step=0.04, n_full=100, fraction=0.5)  # shortened final step
+    @given(
+        a=st.floats(1.0, 3.0),
+        b=st.floats(-1.0, 1.0),
+        c=st.floats(-1.0, 1.0),
+        step=st.floats(1e-3, 0.5),
+        n_full=st.integers(0, 3000),
+        fraction=st.just(0.0) | st.floats(0.1, 0.9),
+    )
+    def test_same_frames_defects_and_events(self, a, b, c, step, n_full, fraction):
+        profile = CurveProfile(kappa=lambda s: a + b * math.sin(s),
+                               tau=lambda s: 1.0 + c * math.cos(s))
+        span = (n_full + fraction) * step
+        arclengths, frames, defects, events, max_defect = stage_loop_reference(profile, span, step)
+        near = np.append(defects, [d for _, d in events])
+        assume(np.abs(near - ORTHONORMALITY_TOL).min() > 1e-10)
+
+        traj = integrate_frame(profile, 0.0, span, step, FrenetFrame.canonical())
+        assert np.array_equal(traj.arclengths, arclengths)
+        assert [s for s, _ in traj.reorthonormalizations] == [s for s, _ in events]
+        rate = math.hypot(a + abs(b), 1.0 + abs(c))  # bounds hypot(kappa, tau) along the curve
+        frame_bound = 1e-12 + 4.0 * sys.float_info.epsilon * span * rate
+        assert np.abs(traj.frames - frames).max() <= frame_bound
+        assert np.abs(traj.defects - defects).max() <= 1e-12
+        assert abs(traj.max_defect - max_defect) <= 1e-12
+        assert [frame_defect(frame) for frame in traj.frames] == traj.defects.tolist()
+
+
 class TestCurveProfile:
     def test_fd_curvature_derivative_default(self):
         profile = CurveProfile(kappa=lambda s: math.sin(s) + 2.0, tau=0.0)

@@ -395,11 +395,13 @@ def run_filament_sweep(cfg: RunConfig) -> None:
         ("sweep", ["eta", "re_gamma_1", "im_gamma_1", "re_gamma_2", "im_gamma_2", "regime"],
          (etas, *root_columns, [sol.regime for sol in solutions])),
     ]
-    svg_specs = []
+    svg_specs, derived = [], None
     if samples:
         svg_specs.append(("sweep", [eta for eta, _ in samples], [g.real for _, g in samples],
                           "growth rate vs diffusivity", "eta", "Re gamma_1"))
-    _emit(cfg, _manifest(cfg), results, "report", csv_specs, svg_specs)
+    elif "svg" in cfg.formats:  # a plot needs a point; the manifest says why there is none
+        derived = {"svg_omitted": "no eta of the sweep has a growth rate"}
+    _emit(cfg, _manifest(cfg, derived), results, "report", csv_specs, svg_specs)
 
 
 def run_frenet(cfg: RunConfig) -> None:

@@ -169,16 +169,17 @@ class FrenetFrame:
         return self._defect
 
 
-def _generator(kappa: float, tau: float) -> np.ndarray:
-    """Skew matrix A with (t, n, b)' = A (t, n, b), the triad stacked as rows."""
-    a = np.zeros((3, 3))
-    a[0, 1], a[1, 0], a[1, 2], a[2, 1] = kappa, -kappa, tau, -tau
-    return a
+def _frenet_derivative(kappa: float, tau: float, y) -> tuple:
+    """(t', n', b') = (kappa n, -kappa t + tau b, -tau n) of a triad given as its nine entries."""
+    t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
+    return (kappa * n0, kappa * n1, kappa * n2, -kappa * t0 + tau * b0, -kappa * t1 + tau * b1,
+            -kappa * t2 + tau * b2, -tau * n0, -tau * n1, -tau * n2)
 
 
 def frenet_rhs(frame: FrenetFrame, kappa: float, tau: float):
     """Arclength derivatives (t' = kappa n, n' = -kappa t + tau b, b' = -tau n)."""
-    return tuple(_generator(kappa, tau) @ np.array([frame.t, frame.n, frame.b]))
+    y = np.concatenate((frame.t, frame.n, frame.b)).tolist()
+    return tuple(np.array(_frenet_derivative(kappa, tau, y)).reshape(3, 3))
 
 
 def time_evolution_rhs(frame: FrenetFrame, kappa: float, kappa_prime: float, tau: float):
@@ -264,7 +265,7 @@ def _gram_schmidt(y, s: float, defect: float, events: list) -> tuple[tuple, floa
 def _dense_steps(e, profile: CurveProfile, flat, defects, arclengths, i: int, n_full: int,
                  step: float, remainder: float, events: list) -> int:
     """Steps y <- E y + y on the frame's nine Python floats from sample i, each with its defect
-    and event; a full step takes the given E (a constant profile's E_1), any other its own
+    and event; a full step takes the given 3x3 E (a constant profile's E_1), any other its own
     _step_matrix.  Given E, stops after the first clean full step, else at the end of the run."""
     full = None if e is None else e.ravel().tolist()
     n_steps, y, clean = len(arclengths) - 1, flat[i].tolist(), False
@@ -272,7 +273,7 @@ def _dense_steps(e, profile: CurveProfile, flat, defects, arclengths, i: int, n_
         coeffs = full
         if full is None or i >= n_full:
             h = step if i < n_full else remainder
-            coeffs = _step_matrix(profile, arclengths.item(i), h).ravel().tolist()
+            coeffs = _step_matrix(profile, arclengths.item(i), h)
         e00, e01, e02, e10, e11, e12, e20, e21, e22 = coeffs
         t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
         y = (e00 * t0 + e01 * n0 + e02 * b0 + t0, e00 * t1 + e01 * n1 + e02 * b1 + t1,
@@ -290,22 +291,17 @@ def _dense_steps(e, profile: CurveProfile, flat, defects, arclengths, i: int, n_
     return i
 
 
-def _rk4_increment(a0: np.ndarray, a_mid: np.ndarray, a1: np.ndarray, h: float,
-                   y: np.ndarray) -> np.ndarray:
-    """Change of y over one classical RK4 step of y' = A y, given A at s, s + h/2 and s + h."""
-    k1 = a0 @ y
-    k2 = a_mid @ (y + 0.5 * h * k1)
-    k3 = a_mid @ (y + 0.5 * h * k2)
-    k4 = a1 @ (y + h * k3)
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _step_matrix(profile: CurveProfile, s: float, h: float) -> np.ndarray:
-    """E = P - I of the RK4 step of length h from s, which takes y to E y + y."""
-    a0, a_mid, a1 = (_generator(profile.kappa_at(u), profile.tau_at(u))
-                     for u in (s, s + 0.5 * h, s + h))
-    # kept apart from I, each entry is rounded relative to the increment, not to 1
-    return _rk4_increment(a0, a_mid, a1, h, np.eye(3))
+def _step_matrix(profile: CurveProfile, s: float, h: float) -> list:
+    """E = P - I of the RK4 step of length h from s as nine floats, rows t, n, b: the classical
+    stages on I, kept apart from I so each entry is rounded relative to the increment, not to 1."""
+    eye, half, sixth = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), 0.5 * h, h / 6.0
+    (k0, t0), (k_mid, t_mid), (k1, t1) = [(profile.kappa_at(u), profile.tau_at(u))
+                                          for u in (s, s + half, s + h)]
+    d1 = _frenet_derivative(k0, t0, eye)
+    d2 = _frenet_derivative(k_mid, t_mid, [u + half * d for u, d in zip(eye, d1)])
+    d3 = _frenet_derivative(k_mid, t_mid, [u + half * d for u, d in zip(eye, d2)])
+    d4 = _frenet_derivative(k1, t1, [u + h * d for u, d in zip(eye, d3)])
+    return [sixth * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(d1, d2, d3, d4)]
 
 
 def integrate_frame(
@@ -324,13 +320,13 @@ def integrate_frame(
     Orthonormality drift beyond ORTHONORMALITY_TOL triggers a Gram-Schmidt
     re-orthonormalisation, recorded in the trajectory with the drift it removed.
 
-    The RK4 step of y' = A y is linear: y -> E y + y.  A constant profile's full
-    steps advance in chunks P^1..P^m y, P = I + E_1, scanned for the first frame
-    above the tolerance; m halves after an event and doubles after a clean
-    chunk, up to 256.  All other steps run in one scalar loop on the frame's
-    nine Python floats, each with its defect and event: a variable profile's
-    steps and the shortened final step with their own E, and a constant
-    profile's steps once events shrink m to 1 with E_1, up to a clean step.
+    The RK4 step of y' = A y is linear: y -> E y + y, every E from _step_matrix.
+    A constant profile's full steps advance in chunks P^1..P^m y, P = I + E_1,
+    scanned for the first frame above the tolerance; m halves after an event and
+    doubles after a clean chunk, up to 256.  All other steps run in one scalar
+    loop on the frame's nine Python floats, each with its defect and event: a
+    variable profile's steps and the shortened final step with their own E, and
+    a constant profile's steps once events shrink m to 1 with E_1, up to a clean step.
     """
     if not all(map(math.isfinite, (s_start, s_end, step))):
         raise ValueError(f"s_start, s_end and step must be finite, got {s_start}, {s_end}, {step}")
@@ -357,7 +353,7 @@ def integrate_frame(
     defects[0] = initial.orthonormality_defect()
     events, i, chunk, e1 = [], 0, 1, None
     if n_full and profile._kappa_const is not None and profile._tau_const is not None:
-        e1 = _step_matrix(profile, s_start, step)
+        e1 = np.array(_step_matrix(profile, s_start, step)).reshape(3, 3)
         increments = e1[None]  # E_k = P^k - I for k = 1, 2, ...
     while e1 is not None and i < n_full:
         m = min(chunk, n_full - i)

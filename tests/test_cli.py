@@ -198,6 +198,20 @@ class TestFilamentCommand:
         _header, rows = read_csv(out / "filament_sweep.csv")
         assert rows[0][1:5] == cells
 
+    def test_sweep_without_growth_rate_says_why_it_has_no_plot(self, tmp_path):
+        out = tmp_path / "flat"
+        assert run("--command", "filament", "--out", str(out), "--kappa", "0",
+                   "--format", "svg,csv") == 0
+        assert read_json(out / "manifest.json")["derived"] == {
+            "svg_omitted": "no eta of the sweep has a growth rate"}
+        assert sorted(path.name for path in out.iterdir()) == ["filament_sweep.csv",
+                                                               "manifest.json"]
+        _header, rows = read_csv(out / "filament_sweep.csv")
+        assert all(row[1] == "" for row in rows)
+        rerun = tmp_path / "rerun"
+        assert run("--config", str(out / "manifest.json"), "--out", str(rerun)) == 0
+        assert (rerun / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
+
     def test_empty_eta_list_exits_2(self, tmp_path):
         assert run("--command", "filament", "--out", str(tmp_path / "x"), "--eta", "") == 2
 

@@ -102,6 +102,23 @@ class TestArclengthRhs:
         # d/ds (t . n) expanded with the returned derivatives
         assert float(dt @ frame.n + frame.t @ dn) == 0.0
 
+    @given(
+        angles=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+        kappa=st.floats(0.0, 5.0),
+        tau=st.floats(-5.0, 5.0),
+    )
+    def test_random_frames_follow_the_frenet_serret_equations(self, angles, kappa, tau):
+        # rows of the rotation Rz(a) Rx(b) Rz(c): a right-handed orthonormal triad
+        (ca, cb, cc), (sa, sb, sc) = np.cos(angles), np.sin(angles)
+        rz_a = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+        rx_b = np.array([[1.0, 0.0, 0.0], [0.0, cb, -sb], [0.0, sb, cb]])
+        rz_c = np.array([[cc, -sc, 0.0], [sc, cc, 0.0], [0.0, 0.0, 1.0]])
+        frame = FrenetFrame(*(rz_a @ rx_b @ rz_c))
+        dt, dn, db = frenet_rhs(frame, kappa, tau)
+        np.testing.assert_array_equal(dt, kappa * frame.n)
+        np.testing.assert_array_equal(dn, -kappa * frame.t + tau * frame.b)
+        np.testing.assert_array_equal(db, -tau * frame.n)
+
 
 class TestTimeEvolutionRhs:
     def test_static_when_kappa_prime_and_tau_vanish(self):
@@ -361,6 +378,27 @@ class TestPropagatorMatchesStageLoop:
         assert len(traj.samples) == 10001
         assert traj.reorthonormalizations == []
         assert [frame.orthonormality_defect() for _, frame in traj.samples] == traj.defects.tolist()
+
+
+class TestStepMatrix:
+    @settings(max_examples=200)
+    @example(kappa=1.0, tau=1.0, rate=1e-3)
+    @example(kappa=5.0, tau=-5.0, rate=2.8)
+    @example(kappa=0.0, tau=0.0, rate=1.0)
+    # a relative bound holds only while the entries are normal floats: rate is 0 or >= 1e-12
+    @given(kappa=st.floats(0.0, 10.0), tau=st.floats(-10.0, 10.0),
+           rate=st.just(0.0) | st.floats(1e-12, 2.8))
+    def test_constant_profile_step_is_rk4_taylor_polynomial(self, kappa, tau, rate):
+        # for y' = A y, the four classical stages give P - I = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24
+        w = math.hypot(kappa, tau)
+        assume(w == 0.0 or w >= 1e-3)  # h = rate / w stays finite
+        h = rate / w if w else rate  # h * w = rate <= 2.8, inside RK4's stability bound
+        x = h * np.array([[0.0, kappa, 0.0], [-kappa, 0.0, tau], [0.0, -tau, 0.0]])
+        x2 = x @ x
+        taylor = x + x2 / 2.0 + x2 @ x / 6.0 + x2 @ x2 / 24.0
+        e = np.reshape(frenet._step_matrix(CurveProfile.constant(kappa, tau), 0.0, h), (3, 3))
+        hw = h * w
+        assert np.abs(e - taylor).max() <= 8.0 * sys.float_info.epsilon * max(hw, hw**4)
 
 
 class TestDenseEventSteps:

@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", help="comma-separated subset of csv,json,svg (default: all)")
     parser.add_argument("--config", help="config file: key=value lines or a manifest.json")
     for flag, help_text in _ALL_FLAGS.items():
-        parser.add_argument(f"--{flag}", dest=flag.replace("-", "_"), help=help_text)
+        parser.add_argument(f"--{flag}", dest=flag, help=help_text)
     return parser
 
 
@@ -166,19 +166,10 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    merged: dict[str, str] = {}
-    if args.config:
-        merged.update(_load_config_file(args.config))
-    if args.command is not None:
-        merged["command"] = args.command
-    if args.out is not None:
-        merged["out"] = args.out
-    if args.format is not None:
-        merged["format"] = args.format
-    for flag in _ALL_FLAGS:
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            merged[flag] = value
+    flags = {flag: value for flag, value in vars(args).items() if value is not None}
+    config = flags.pop("config", None)
+    merged = _load_config_file(config) if config else {}
+    merged.update(flags)
 
     command = merged.pop("command", None)
     if command is None:
@@ -211,6 +202,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 raise InputError(f"invalid value for --{key}: {merged[key]!r}") from exc
         else:
             parameters[key] = default
+        if converter is float and not math.isfinite(parameters[key]):
+            raise InputError(f"--{key} must be finite, got {parameters[key]!r}")
         if key in _TABLE_FLAGS and parameters[key] > MAX_TABLE_ROWS:
             raise InputError(f"--{key} must be at most {MAX_TABLE_ROWS}, got {parameters[key]}")
     return RunConfig(command, parameters, Path(out), formats)
@@ -295,7 +288,7 @@ def run_map_report(cfg: RunConfig) -> None:
     orbit = maps.iterate_orbit(
         torus_map, maps.TorusPoint(p["orbit-x"], p["orbit-y"]), p["orbit-steps"]
     )
-    matrix = [[torus_map.a, torus_map.b], [torus_map.c, torus_map.d]]
+    matrix = torus_map.matrix.tolist()
     eigen = classification.eigenvalues
     results = {
         "map": name,
@@ -406,10 +399,6 @@ def run_filament_sweep(cfg: RunConfig) -> None:
 
 def run_frenet(cfg: RunConfig) -> None:
     p = cfg.parameters
-    # before the checks below, which a NaN would pass or name wrongly
-    for key, value in p.items():
-        if not math.isfinite(value):
-            raise InputError(f"--{key} must be finite, got {value!r}")
     # RK4 on the frame's rotation eigenvalues +-i*w is stable for h*w <= 2*sqrt(2), where
     # |R(iy)|^2 = 1 - y^6/72 + y^8/576 reaches 1; past it every step amplifies the frame
     # and the re-orthonormalised frames no longer follow the curve

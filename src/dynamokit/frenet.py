@@ -417,8 +417,6 @@ def twist_angle(theta_r: float, profile: CurveProfile, s: float) -> float:
     if s == 0.0:
         return theta_r
     intervals = max(_SIMPSON_MIN_NODES - 1, 2 * math.ceil(abs(s) / 2e-3))
-    if intervals % 2:
-        intervals += 1
     nodes = np.linspace(0.0, s, intervals + 1)
     values = np.array([profile.tau_at(u) for u in nodes])
     h = s / intervals

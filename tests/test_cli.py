@@ -89,10 +89,26 @@ class TestMapCommand:
         assert "map_tube-twist.json: results.eigenvalues.real[0]" in err
         assert list(out.iterdir()) == []
 
+    def test_negative_orbit_steps_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("--command", "map", "--out", str(out), "--orbit-steps=-1") == 2
+        assert capsys.readouterr().err == "error: orbit-steps must be nonnegative\n"
+        assert not (out / "manifest.json").exists()
+
     def test_unwritable_output_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
         assert run("--command", "map", "--out", str(blocker / "sub")) == 3
+
+    def test_failing_writer_exits_3_without_manifest(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli, "write_csv", fail)
+        out = tmp_path / "x"
+        assert run("--command", "map", "--out", str(out)) == 3
+        assert capsys.readouterr().err == "error: I/O failure: no space left\n"
+        assert list(out.iterdir()) == []
 
 
 class TestTubeCommand:
@@ -458,3 +474,47 @@ class TestConfigAndDeterminism:
         err = capsys.readouterr().err
         assert flag in err and str(cli.MAX_TABLE_ROWS) in err
         assert not out.exists()
+
+
+FLOAT_FLAGS = [(command, flag) for command, schema in cli.PARAM_SCHEMAS.items()
+               for flag, (converter, *_) in schema.items() if converter is float]
+
+
+class TestFlagResolution:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    def test_non_finite_float_flag_exits_2_naming_it(self, tmp_path, capsys, command, flag,
+                                                      value):
+        out = tmp_path / "x"
+        assert run("--command", command, "--out", str(out), f"--{flag}={value}") == 2
+        assert capsys.readouterr().err == f"error: --{flag} must be finite, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first,bad", [
+        (["--command", "map"], ["--growth-steps", str(cli.MAX_TABLE_ROWS + 1)]),
+        (["--command", "frenet", "--s-end", "0.5"], ["--s-end=nan"]),
+    ], ids=["table-cap", "non-finite"])
+    def test_resolution_error_leaves_a_used_out_unchanged(self, tmp_path, first, bad):
+        out = tmp_path / "d"
+        assert run(*first, "--out", str(out)) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run(*first, *bad, "--out", str(out)) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--format=,", "--format must name at least one of csv,json,svg"),
+        ("--nodes=abc", "invalid value for --nodes: 'abc'"),
+    ])
+    def test_malformed_flag_exits_2_naming_it(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "x"
+        assert run("--command", "tube", "--out", str(out), flag) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_help_names_every_flag_under_its_own_name(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        for flag in cli._ALL_FLAGS:
+            assert f"--{flag} {flag.upper()}" in text

@@ -84,6 +84,16 @@ def _floats(low: float, high: float):
     return st.floats(low, high, allow_subnormal=False)
 
 
+def _ordinary(low: float, high: float):
+    """Floats in [low, high] that are exactly 0 or at least 1e-3 in magnitude.
+
+    A tiny normal value is as extreme as a subnormal: eta 2.8e-294 with
+    kappa-prime 2.4e-295 makes the filament growth rate underflow, which
+    solve_growth_rate rejects on purpose (TestExtremeValues covers it).
+    """
+    return _floats(low, high).map(lambda x: x if abs(x) >= 1e-3 else 0.0)
+
+
 SIGNED_RATE = st.tuples(_floats(0.1, 2.0), st.sampled_from([-1.0, 1.0])).map(math.prod)
 PARAMETERS = {
     "map": st.fixed_dictionaries({
@@ -110,13 +120,13 @@ PARAMETERS = {
         "gamma": _floats(-1.0, 1.0),
     }),
     "filament": st.fixed_dictionaries({
-        "eta": st.lists(st.just(0.0) | _floats(0.0, 2.0), min_size=1, max_size=5)
+        "eta": st.lists(st.just(0.0) | _ordinary(0.0, 2.0), min_size=1, max_size=5)
         .map(lambda etas: ",".join(map(repr, etas))),
-        "kappa": _floats(0.0, 3.0),
-        "kappa-prime": _floats(-3.0, 3.0),
+        "kappa": _ordinary(0.0, 3.0),
+        "kappa-prime": _ordinary(-3.0, 3.0),
         "k0": _floats(0.1, 3.0),
-        "v0": st.just(0.0) | _floats(-3.0, 3.0),
-        "tau": st.just(0.0) | _floats(-2.0, 2.0),
+        "v0": st.just(0.0) | _ordinary(-3.0, 3.0),
+        "tau": st.just(0.0) | _ordinary(-2.0, 2.0),
         "gamma-ref": SIGNED_RATE,
     }),
     "frenet": st.fixed_dictionaries({
@@ -210,6 +220,10 @@ class TestExtremeValues:
     @example(run=("filament", {"eta": "0.1", "kappa": 1.0, "kappa-prime": 1.0, "k0": 1.0,
                                "v0": -1.0, "tau": 1.0, "gamma-ref": 1.0},
                   {"kappa": "0.0"}, ["svg"]))  # no growth rate: no filament_sweep.svg
+    @example(run=("filament", {"eta": "0.1", "kappa": 1.0, "kappa-prime": 1.0, "k0": 1.0,
+                               "v0": 1.0, "tau": 0.0, "gamma-ref": -1.0},
+                  {"eta": "2.7616296315533052e-294", "kappa-prime": "2.405161389782022e-295"},
+                  ["csv"]))  # eta / x underflows to 0: exit 2
     @given(run=EXTREME_RUNS)
     def test_exit_code_and_outputs(self, run):
         command, ordinary, extreme, formats = run

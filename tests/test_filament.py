@@ -77,6 +77,17 @@ class TestLineElementAndGradient:
         assert np.max(np.abs(grad - np.cos(s))) < 1e-6
 
 
+class TestRejections:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: params(kappa=math.nan), "parameter kappa must be finite"),
+        (lambda: params(gamma_ref=-math.inf), "parameter gamma_ref must be finite"),
+        (lambda: filament_gradient([1.0, 2.0], 1.0, 1.0), "need at least 3 samples"),
+    ], ids=["nan-parameter", "infinite-parameter", "two-samples"])
+    def test_rejects_with_a_named_cause(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestFilamentMatrix:
     def test_zero_curvature(self):
         result = build_filament_matrix(params(kappa=0.0, k0=2.0, gamma_ref=3.0))

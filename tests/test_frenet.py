@@ -77,6 +77,16 @@ class TestFrenetFrame:
         with pytest.raises(ValueError):
             FrenetFrame(np.array([2.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
 
+    @pytest.mark.parametrize("t,message", [
+        ([1.0, 0.0], "frame vector t must have shape"),
+        ([[1.0, 0.0, 0.0]], "frame vector t must have shape"),
+        ([math.nan, 0.0, 0.0], "frame vector t must be finite"),
+        ([math.inf, 0.0, 0.0], "frame vector t must be finite"),
+    ])
+    def test_rejects_a_malformed_vector(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            FrenetFrame(np.array(t), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
+
 
 class TestArclengthRhs:
     def test_straight_line_is_stationary(self):
@@ -318,6 +328,10 @@ class TestIntegrateFrame:
                 CurveProfile.constant(-1.0, 0.0), 0.0, 1.0, 0.1, FrenetFrame.canonical()
             )
 
+    def test_rejects_an_end_before_the_start(self):
+        with pytest.raises(ValueError, match="s_end must not precede s_start"):
+            integrate_frame(CurveProfile.constant(1.0, 0.0), 1.0, 0.0, 0.1, FrenetFrame.canonical())
+
 
 def propagator_and_stage_runs(kappa: float, tau: float, span: float, step: float):
     """One constant profile integrated as constants (propagator) and as callables (stage loop)."""
@@ -555,6 +569,9 @@ class TestTwistAngle:
         profile = CurveProfile(kappa=1.0, tau=lambda u: u)
         # integral of u over [0, 1] = 0.5 exactly (Simpson is exact for cubics)
         assert twist_angle(1.0, profile, 1.0) == pytest.approx(0.5, abs=1e-14)
+
+    def test_variable_torsion_at_the_origin_returns_reference(self):
+        assert twist_angle(0.7, CurveProfile(kappa=1.0, tau=lambda u: 1.0 + u), 0.0) == 0.7
 
     def test_additivity_on_subintervals(self):
         tau = lambda u: math.sin(u) + 0.5  # noqa: E731

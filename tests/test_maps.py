@@ -242,6 +242,21 @@ class TestGrowthRates:
         assert est == pytest.approx(LOG_CAT_LAMBDA_1, abs=1e-12)
 
 
+class TestRejections:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: TorusPoint(math.nan, 0.2), "torus point coordinates must be finite"),
+        (lambda: FieldVector(0.0, math.inf), "field vector components must be finite"),
+        (lambda: transport_field(make_cat_map(), FieldVector(0.0, 1.0), -1),
+         "iteration count n must be nonnegative"),
+        # (1, -1) is the kernel of [[1, 1], [1, 1]]
+        (lambda: growth_rate(LinearTorusMap(1.0, 1.0, 1.0, 1.0), FieldVector(1.0, -1.0), 3),
+         "collapsed to zero"),
+    ], ids=["torus-point", "field-vector", "negative-transport", "singular-map"])
+    def test_rejects_with_a_named_cause(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestArnoldLineElement:
     def test_euclidean_limit(self):
         assert arnold_line_element(0.0, 5.0, 1.0, 1.0, 1.0) == 3.0

@@ -84,6 +84,15 @@ class TestJsonDumps:
         with pytest.raises(TypeError):
             json_dumps({"bad": object()})
 
+    @pytest.mark.parametrize("obj,text", [
+        ({}, "{}"),
+        (np.int64(3), "3"),
+        (np.float32(0.5), "0.5"),
+        (np.bool_(True), "true"),
+    ], ids=["empty-dict", "int64", "float32", "bool"])
+    def test_empty_dicts_and_numpy_scalars(self, obj, text):
+        assert json_dumps(obj) == text
+
     @settings(max_examples=200, deadline=None)
     @given(key=st.text(), value=st.text())
     def test_strings_and_keys_quoted_as_json_dumps_quotes_them(self, key, value):

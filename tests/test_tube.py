@@ -133,6 +133,32 @@ class TestTubeGradient:
             tube_gradient(f, self.r, self.theta, self.s, k=0.0)
 
 
+# (r, theta, s) axes of a valid tube_gradient grid
+AXES = (np.linspace(0.5, 1.5, 6), np.linspace(0.0, 2.0, 5), np.linspace(0.0, 3.0, 7))
+
+
+class TestRejections:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: tube_gradient(np.zeros((6, 5)), *AXES), "f must be sampled on the"),
+        (lambda: tube_gradient(np.zeros((6, 5, 2)), *AXES[:2], AXES[2][:2]),
+         "need at least 3 nodes per axis"),
+        (lambda: tube_gradient(np.zeros((6, 5, 7)), AXES[0] - 1.0, *AXES[1:]),
+         "radial nodes must be positive"),
+        (lambda: log_radial_check(sp.Symbol("x") * sp.Symbol("y"), RadialGrid.default_log()),
+         "expression must have a single free symbol"),
+        (lambda: TubeFlowField(0.0, 0.0, 1.0, 1.0, 0.0, np.zeros(16), np.zeros(15)),
+         "v_s and v_theta must be sampled on the same grid"),
+        (lambda: pressure_blowup_check(TubeFlowField.rigid_rotation(RadialGrid.default_log(), 1.0),
+                                       [0.1, 0.01]), "need at least 3 radii"),
+        (lambda: pressure_blowup_check(TubeFlowField.rigid_rotation(RadialGrid.default_log(), 1.0),
+                                       [0.1, 0.0, -0.1]), "radii must be positive"),
+    ], ids=["gradient-shape", "gradient-axis", "gradient-radius", "two-symbols",
+            "unequal-profiles", "two-radii", "zero-radius"])
+    def test_rejects_with_a_named_cause(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestCompactOperator:
     def test_zero_function(self, log_grid):
         assert np.max(np.abs(compact_operator_apply(np.zeros(log_grid.count), log_grid))) == 0.0
@@ -332,6 +358,12 @@ class TestEigenproblems:
         problem = eliminate_eigenvalue()
         assert problem.coefficients == (1.0, -1.0, -2.0)
         assert problem.provenance == "derived-elimination"
+
+    @pytest.mark.parametrize("problem", [eliminate_eigenvalue(), paper_eigenproblem()],
+                             ids=["derived", "stated"])
+    def test_each_root_zeroes_its_quadratic(self, problem):
+        for root in problem.roots():
+            assert abs(problem.evaluate(root)) <= 1e-12
 
     def test_symbolic_elimination_reproduces_the_constant(self):
         # the two log-variable equations with independent symbols for the

@@ -17,9 +17,22 @@ CSV/JSON reports and static SVG plots for all four.
 
 __version__ = "0.1.0"
 
-from .filament import *  # noqa: F401,F403
-from .frenet import *  # noqa: F401,F403
-from .maps import *  # noqa: F401,F403
-from .tube import *  # noqa: F401,F403
+# The modules whose __all__ the package re-exports, each imported on first use
+_KERNELS = ("maps", "frenet", "tube", "filament")
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):  # PEP 562: called for each name not bound here yet
+    if name in {*_KERNELS, "cli", "finitediff", "reports"}:
+        __import__(f"{__name__}.{name}")  # unlike importlib.import_module, -X importtime shows it
+        return globals()[name]  # the import binds it here
+    if name == "__all__":  # finitediff too, as tube's import bound it beside the kernels
+        return sorted({*_KERNELS, "finitediff"}.union(*(__getattr__(k).__all__ for k in _KERNELS)))
+    for module in () if name.startswith("_") else map(__getattr__, _KERNELS):
+        if name in module.__all__:  # the kernel that declares it
+            globals()[name] = value = getattr(module, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

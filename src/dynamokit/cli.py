@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, filament, frenet, maps, tube
+from . import __version__
 from .reports import format_float, write_csv, write_json, write_svg_polyline
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -264,6 +264,7 @@ def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, s
 
 
 def run_map_report(cfg: RunConfig) -> None:
+    from . import maps  # each runner imports its own kernel, so a run loads no other
     p = cfg.parameters
     name = p["map"]
     builders = {
@@ -321,6 +322,7 @@ def run_map_report(cfg: RunConfig) -> None:
 
 
 def run_tube_report(cfg: RunConfig) -> None:
+    from . import tube
     p = cfg.parameters
     grid = tube.RadialGrid(p["r-min"], p["r-max"], p["nodes"], p["spacing"])
     field = tube.TubeFlowField.eigen_ansatz(
@@ -353,6 +355,7 @@ def run_tube_report(cfg: RunConfig) -> None:
 
 
 def run_filament_sweep(cfg: RunConfig) -> None:
+    from . import filament
     p = cfg.parameters
     etas = p["eta"]
     if not etas:
@@ -398,6 +401,7 @@ def run_filament_sweep(cfg: RunConfig) -> None:
 
 
 def run_frenet(cfg: RunConfig) -> None:
+    from . import frenet
     p = cfg.parameters
     # RK4 on the frame's rotation eigenvalues +-i*w is stable for h*w <= 2*sqrt(2), where
     # |R(iy)|^2 = 1 - y^6/72 + y^8/576 reaches 1; past it every step amplifies the frame

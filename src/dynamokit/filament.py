@@ -229,7 +229,7 @@ def classify_dynamo(samples, tau: float) -> str:
     pairs = [(float(eta), complex(gamma).real) for eta, gamma in samples]
     etas = np.array([eta for eta, _ in pairs])
     gammas = np.array([gamma for _, gamma in pairs])
-    if np.unique(etas).size < 3:
+    if len({eta for eta, _ in pairs}) < 3:  # a set, as cli.run_filament_sweep counts them
         raise ValueError("need at least 3 samples with distinct eta")
     # polyfit divides the eta column by its norm; with a norm of 0 its SVD fails
     if not (etas * etas).sum() > 0.0:

@@ -33,50 +33,60 @@ def format_float(x: float) -> str:
     return format(value, FLOAT_FORMAT)
 
 
+class _NonFinite(ValueError):
+    """args: the message, then each level's dict key or list index ("" at the top), inner first."""
+
+
 def json_dumps(obj) -> str:
     """Serialise to JSON with 17-significant-digit floats and stable ordering.
 
     Dict keys keep insertion order (reports are built deterministically), so
     identical inputs yield identical bytes.  A non-finite value raises
-    ValueError naming its key path.
+    ValueError naming its key path, which is built only then.
     """
-    return _dumps(obj, 0, "")
+    try:
+        return _dumps(obj, 0)
+    except _NonFinite as exc:
+        path = ""  # outermost first; a dict key takes a dot unless the path is still empty
+        for key in reversed(exc.args[1:]):
+            path = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        raise ValueError(f"{path or 'top level'}: {exc.args[0]}") from None
 
 
-def _dumps(obj, indent: int, key_path: str) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _dumps(obj, indent: int, at="") -> str:
+    if isinstance(obj, float):
+        try:
+            return format_float(obj)
+        except ValueError as exc:
+            raise _NonFinite(str(exc), at) from None
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        try:
-            return format_float(obj)
-        except ValueError as exc:
-            raise ValueError(f"{key_path or 'top level'}: {exc}") from None
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{encode_basestring_ascii(str(key))}: "
-            + _dumps(value, indent + 1, f"{key_path}.{key}" if key_path else str(key))
-            for key, value in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(f"{inner}{_dumps(value, indent + 1, f'{key_path}[{index}]')}"
-                            for index, value in enumerate(obj))
-        return "[\n" + items + "\n" + pad + "]"
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    try:
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = ",\n".join(f"{inner}{encode_basestring_ascii(str(key))}: "
+                               + _dumps(value, indent + 1, str(key)) for key, value in obj.items())
+            return "{\n" + items + "\n" + pad + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            items = ",\n".join(f"{inner}{_dumps(value, indent + 1, index)}"
+                               for index, value in enumerate(obj))
+            return "[\n" + items + "\n" + pad + "]"
+    except _NonFinite as exc:
+        exc.args += (at,)
+        raise
     # numpy scalars and similar duck-typed numbers
     if hasattr(obj, "item"):
-        return _dumps(obj.item(), indent, key_path)
+        return _dumps(obj.item(), indent, at)
     raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
 
 

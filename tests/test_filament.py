@@ -241,3 +241,52 @@ class TestClassifyDynamo:
     def test_complex_rates_classified_through_real_part(self):
         samples = [(eta, complex(0.3 * eta, 0.1)) for eta in (0.1, 0.2, 0.5, 1.0)]
         assert classify_dynamo(samples, tau=1.0) == REGIME_SLOW
+
+
+class TestDistinctEtaCount:
+    """classify_dynamo counts distinct etas with a set, the rule run_filament_sweep uses.
+
+    On finite etas the set agrees with np.unique(etas).size, the count it replaces.
+    """
+
+    @pytest.mark.parametrize("etas", [
+        (0.1, 0.1, 0.2),
+        (0.1, 0.2, 0.1, 0.2),
+        (0.1, 0.2, 0.2, 0.3, 0.3, 0.3),
+        (0.0, -0.0, 0.5),
+        (-0.0, 0.0, 0.5, 1.0),
+        (5e-324, 5e-324, 1e-323),
+        (5e-324, 1e-323, 1.5e-323),
+        (1e-310, 1e-310, 1e-310, 2e-310),
+        (-5e-324, 5e-324, 0.0),
+    ])
+    def test_set_count_agrees_with_np_unique(self, etas):
+        distinct = np.unique(np.array(etas)).size
+        assert len({float(eta) for eta in etas}) == distinct
+        samples = [(eta, 0.1 + 0.3 * eta) for eta in etas]
+        if distinct < 3:
+            with pytest.raises(ValueError, match="distinct eta"):
+                classify_dynamo(samples, tau=1.0)
+            return
+        # past the count: a normal sweep gets a verdict, a subnormal one the eta^2 check
+        try:
+            assert classify_dynamo(samples, tau=1.0) == REGIME_FAST_CANDIDATE
+        except ValueError as exc:
+            assert str(exc).startswith("eta sweep")
+
+    def test_nan_eta_is_rejected_by_either_count(self):
+        # np.unique merges every NaN into one value; the set keeps NaN objects apart
+        # (nan != nan) and merges only repeats of one object.  So two separate NaNs beside
+        # 0.1 counted 2 distinct etas before and count 3 now.  Either way a NaN eta raises
+        # ValueError: before from the distinct-eta count, now from the eta^2 check, which
+        # no NaN passes.  With three distinct etas besides, both counts pass it on.
+        two_nans = (0.1, float("nan"), float("nan"))
+        assert np.unique(np.array(two_nans)).size == 2
+        assert len(set(two_nans)) == 3
+        with pytest.raises(ValueError, match=r"^eta sweep \[0.1, nan, nan\]"):
+            classify_dynamo([(eta, 0.5) for eta in two_nans], tau=1.0)
+        nan = math.nan
+        with pytest.raises(ValueError, match="distinct eta"):
+            classify_dynamo([(eta, 0.5) for eta in (0.1, nan, nan)], tau=1.0)
+        with pytest.raises(ValueError, match=r"^eta sweep \[0.1, 0.2, 0.3, nan\]"):
+            classify_dynamo([(eta, 0.5) for eta in (0.1, 0.2, 0.3, nan)], tau=1.0)

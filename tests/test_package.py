@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,44 @@ import pytest
 
 import dynamokit
 from dynamokit import filament, frenet, maps, tube
+
+# dynamokit.__all__: every name in the __all__ of filament, frenet, maps and tube, and
+# the submodules filament, finitediff, frenet, maps and tube
+PUBLIC_NAMES = [
+    "CurveProfile", "FieldVector", "FilamentMatrix", "FilamentParams", "FrameTrajectory",
+    "FrenetFrame", "GrowthRateResult", "LinearTorusMap", "MAX_STEPS", "MapClassification",
+    "MetricDegeneracyWarning", "ORTHONORMALITY_TOL", "PARABOLIC_TOL", "PROVENANCE_DERIVED",
+    "PROVENANCE_STATED", "QuadraticEigenproblem", "REGIME_DEGENERATE", "REGIME_FAST_CANDIDATE",
+    "REGIME_NON_DYNAMO_PLANAR", "REGIME_SLOW", "RadialGrid", "TorusPoint", "TubeFlowField",
+    "accumulated_rotation_angle", "alpha_effect", "alpha_effect_discrepancy", "apply_map",
+    "arnold_line_element", "beltrami_alignment", "build_filament_matrix", "classify",
+    "classify_dynamo", "compact_operator_apply", "determinant_condition_residual",
+    "eigenvalue_discrepancy_report", "eliminate_eigenvalue", "filament", "filament_gradient",
+    "filament_line_element", "finitediff", "frenet", "frenet_rhs", "growth_rate",
+    "growth_rate_per_step", "incompressibility_defect", "integrate_frame", "iterate_orbit",
+    "log_radial_check", "make_cat_map", "make_cat_shear_map", "make_thin_tube_map",
+    "make_tube_twist_map", "make_twist_map", "maps", "paper_eigenproblem", "poloidal_residual",
+    "pressure_blowup_check", "pressure_profile", "radial_derivative",
+    "radial_pressure_residual", "radial_second_derivative", "solve_growth_rate",
+    "stretch_factor", "time_evolution_rhs", "toroidal_residual", "transport_field", "tube",
+    "tube_gradient", "tube_line_element", "twist_angle", "velocity_profile", "vorticity",
+]
+# The dynamokit submodules each default command loads: its own kernel and what that imports
+COMMAND_MODULES = {
+    "map": {"cli", "reports", "maps"},
+    "tube": {"cli", "reports", "maps", "tube", "finitediff"},
+    "filament": {"cli", "reports", "filament", "maps"},
+    "frenet": {"cli", "reports", "frenet"},
+}
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """Run script in a new interpreter that imports dynamokit from this checkout; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dynamokit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_public_names_resolve():
@@ -36,8 +75,64 @@ def test_runtime_never_imports_sympy(tmp_path):
         "    assert cli.main(['--command', command, '--out', sys.argv[1] + '/' + command]) == 0\n"
         "print('sympy' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(dynamokit.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert _fresh_python(script, str(tmp_path)).strip() == "False"
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_own_kernel(command, tmp_path):
+    # as the console script runs it: import dynamokit.cli, call main
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "eager_ma = 'numpy.ma' in sys.modules\n"
+        "from dynamokit.cli import main\n"
+        "assert main(['--command', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "loaded = sorted(name[10:] for name in sys.modules if name.startswith('dynamokit.'))\n"
+        "print(json.dumps([loaded, eager_ma or 'numpy.ma' not in sys.modules]))\n"
+    )
+    loaded, no_ma = json.loads(_fresh_python(script, command, str(tmp_path)))
+    assert set(loaded) == COMMAND_MODULES[command]
+    assert no_ma, "the run imported numpy.ma, which numpy itself does not"
+
+
+def test_bare_import_loads_no_kernel_and_no_numpy():
+    script = (
+        "import sys\n"
+        "import dynamokit\n"
+        "print(sorted(name for name in sys.modules if name.startswith(('dynamokit', 'numpy'))))\n"
+    )
+    assert _fresh_python(script).strip() == "['dynamokit']"
+
+
+def test_all_lists_the_public_names():
+    script = "import dynamokit\nprint(repr(dynamokit.__all__))\n"
+    assert _fresh_python(script).strip() == repr(PUBLIC_NAMES)
+    assert dynamokit.__all__ == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_public_name():
+    script = (
+        "import json\n"
+        "import dynamokit\n"
+        "from dynamokit import *\n"
+        "bound = [name for name in dynamokit.__all__ if name in globals()\n"
+        "         and globals()[name] is getattr(dynamokit, name)]\n"
+        "print(json.dumps(bound))\n"
+    )
+    assert json.loads(_fresh_python(script)) == PUBLIC_NAMES
+
+
+def test_dir_lists_every_public_name():
+    script = "import json\nimport dynamokit\nprint(json.dumps(dir(dynamokit)))\n"
+    listed = json.loads(_fresh_python(script))
+    assert set(PUBLIC_NAMES) <= set(listed)
+    assert listed == sorted(listed)
+    assert "__version__" in listed
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__", "derivative_uniform"])
+def test_unknown_name_raises_attribute_error_naming_it(name):
+    with pytest.raises(AttributeError, match=f"module 'dynamokit' has no attribute '{name}'"):
+        getattr(dynamokit, name)
+    with pytest.raises(ImportError, match=name):
+        exec(f"from dynamokit import {name}", {})

@@ -84,6 +84,24 @@ class TestJsonDumps:
         with pytest.raises(TypeError):
             json_dumps({"bad": object()})
 
+    @pytest.mark.parametrize("obj,path,value", [
+        ({"a": [1.0, {"b": math.nan}]}, "a[1].b", "nan"),
+        ([math.inf], "[0]", "inf"),
+        (math.nan, "top level", "nan"),
+        ({"x": {"y": [0, 1, [2, -math.inf]]}}, "x.y[2][1]", "-inf"),
+        ({"a": (1.0, np.float64(math.inf))}, "a[1]", "inf"),
+        ({1: {2: [math.nan]}}, "1.2[0]", "nan"),
+        # an empty key leaves the path empty, so the next key takes no dot
+        ({"": math.nan}, "top level", "nan"),
+        ({"": {"b": math.nan}}, "b", "nan"),
+        ({"a": {"": [math.nan]}}, "a.[0]", "nan"),
+    ])
+    def test_non_finite_value_names_its_key_path(self, obj, path, value):
+        message = f"{path}: cannot serialise non-finite value {value}"
+        with pytest.raises(ValueError) as caught:
+            json_dumps(obj)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("obj,text", [
         ({}, "{}"),
         (np.int64(3), "3"),

@@ -231,9 +231,12 @@ def classify_dynamo(samples, tau: float) -> str:
     gammas = np.array([gamma for _, gamma in pairs])
     if len({eta for eta, _ in pairs}) < 3:  # a set, as cli.run_filament_sweep counts them
         raise ValueError("need at least 3 samples with distinct eta")
-    # polyfit divides the eta column by its norm; with a norm of 0 its SVD fails
-    if not (etas * etas).sum() > 0.0:
-        raise ValueError(f"eta sweep {etas.tolist()}: too close to 0, sum of eta^2 underflows")
+    # polyfit divides the eta column by its norm, so the norm must be positive and finite
+    with np.errstate(over="ignore"):
+        sum_sq = float((etas * etas).sum())
+    if not (0.0 < sum_sq < math.inf and np.isfinite(gammas).all()):
+        raise ValueError(f"eta sweep {etas.tolist()}: sum of eta^2 = {sum_sq!r} and growth rates "
+                         f"{gammas.tolist()}; the fit needs a positive finite sum and finite rates")
     slope, intercept = np.polyfit(etas, gammas, 1)
     fit_residual = float(np.max(np.abs(slope * etas + intercept - gammas)))
     if abs(intercept) < _INTERCEPT_TOL and fit_residual < _RESIDUAL_TOL:

@@ -11,9 +11,9 @@ stated form is the golden-ratio quadratic m^2 - m - 1.  Both are exposed with
 provenance tags and every downstream diagnostic takes m as an input, so
 neither root set is silently preferred.
 
-Sampled derivatives are taken in the grid's natural coordinate: log-spaced
-grids differentiate in ln r and map back by the chain rule, which keeps the
-stencils uniform and second order.
+Each sampled profile is differentiated once, in the grid's natural coordinate:
+one pass of the uniform stencils gives both radial derivatives, and log grids
+map them from ln r back to r by the chain rule, keeping the stencils uniform.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class RadialGrid:
     The long spellings "uniform-in-r" / "uniform-in-ln-r" are accepted as
     aliases.  r = 0 is excluded: the compact operator, the -ln r profile and
     the alpha effect are all singular on the axis, which is probed by limit
-    sequences instead.
+    sequences instead.  natural_step is the node spacing in r or ln r.
     """
 
     r_min: float
@@ -88,21 +88,17 @@ class RadialGrid:
             raise ValueError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
         if self.spacing == "log":
             nodes = np.geomspace(self.r_min, self.r_max, self.count)
+            step = (math.log(self.r_max) - math.log(self.r_min)) / (self.count - 1)
         else:
             nodes = np.linspace(self.r_min, self.r_max, self.count)
+            step = (self.r_max - self.r_min) / (self.count - 1)
         nodes.setflags(write=False)
         object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "natural_step", step)
 
     @property
     def nodes(self) -> np.ndarray:
         return self._nodes
-
-    @property
-    def natural_step(self) -> float:
-        """Uniform spacing in the grid's natural coordinate (r or ln r)."""
-        if self.spacing == "log":
-            return (math.log(self.r_max) - math.log(self.r_min)) / (self.count - 1)
-        return (self.r_max - self.r_min) / (self.count - 1)
 
     @classmethod
     def default_log(cls, r_max: float = 1.0, count: int = 256) -> "RadialGrid":
@@ -118,22 +114,24 @@ def _samples_on(f, grid: RadialGrid) -> np.ndarray:
     return values
 
 
+def _radial_derivatives(samples, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dr, d^2/dr^2) of samples from one pass of the stencils in r or, on log grids, ln r."""
+    f = _samples_on(samples, grid)
+    g1 = derivative_uniform(f, grid.natural_step)
+    g2 = second_derivative_uniform(f, grid.natural_step)
+    if grid.spacing == "log":  # chain rule from ln r back to r
+        return g1 / grid.nodes, (g2 - g1) / (grid.nodes * grid.nodes)
+    return g1, g2
+
+
 def radial_derivative(samples, grid: RadialGrid) -> np.ndarray:
     """d/dr of samples, second order, in the grid's natural coordinate."""
-    f = _samples_on(samples, grid)
-    if grid.spacing == "log":
-        return derivative_uniform(f, grid.natural_step) / grid.nodes
-    return derivative_uniform(f, grid.natural_step)
+    return _radial_derivatives(samples, grid)[0]
 
 
 def radial_second_derivative(samples, grid: RadialGrid) -> np.ndarray:
     """d^2/dr^2 of samples, second order, in the grid's natural coordinate."""
-    f = _samples_on(samples, grid)
-    if grid.spacing == "log":
-        g1 = derivative_uniform(f, grid.natural_step)
-        g2 = second_derivative_uniform(f, grid.natural_step)
-        return (g2 - g1) / (grid.nodes * grid.nodes)
-    return second_derivative_uniform(f, grid.natural_step)
+    return _radial_derivatives(samples, grid)[1]
 
 
 def tube_line_element(r: float, dr: float, dtheta: float, ds: float, k: float) -> float:
@@ -178,10 +176,8 @@ def compact_operator_apply(f, grid: RadialGrid) -> np.ndarray:
     samples = _samples_on(f, grid)
     r = grid.nodes
     if grid.spacing == "log":
-        g2 = second_derivative_uniform(samples, grid.natural_step)
-        return (g2 + 2.0 * samples) / (r * r)
-    f1 = derivative_uniform(samples, grid.natural_step)
-    f2 = second_derivative_uniform(samples, grid.natural_step)
+        return (second_derivative_uniform(samples, grid.natural_step) + 2.0 * samples) / (r * r)
+    f1, f2 = _radial_derivatives(samples, grid)
     return f2 + f1 / r + 2.0 * samples / (r * r)
 
 
@@ -215,14 +211,13 @@ def log_radial_check(f, grid: RadialGrid) -> float:
     lhs_expr = r**2 * operator
     g = expr.subs(r, sp.exp(rp))
     rhs_expr = sp.diff(g, rp, 2) + 2 * g
-    lhs = np.broadcast_to(
-        np.asarray(sp.lambdify(r, lhs_expr, "numpy")(grid.nodes), dtype=float), grid.nodes.shape
-    )
-    rhs = np.broadcast_to(
-        np.asarray(sp.lambdify(rp, rhs_expr, "numpy")(np.log(grid.nodes)), dtype=float),
-        grid.nodes.shape,
-    )
-    return float(np.max(np.abs(lhs - rhs)))
+
+    def on_nodes(symbol, side, points):
+        values = np.asarray(sp.lambdify(symbol, side, "numpy")(points), dtype=float)
+        return np.broadcast_to(values, grid.nodes.shape)
+
+    defect = on_nodes(r, lhs_expr, grid.nodes) - on_nodes(rp, rhs_expr, np.log(grid.nodes))
+    return float(np.max(np.abs(defect)))
 
 
 @dataclass(frozen=True)
@@ -289,8 +284,7 @@ class TubeFlowField:
 def poloidal_residual(field: TubeFlowField, grid: RadialGrid) -> np.ndarray:
     """Poloidal momentum residual (2/r^2) v_s + v_theta'/r + v_theta'' - gamma v_theta."""
     r = grid.nodes
-    vt1 = radial_derivative(field.v_theta, grid)
-    vt2 = radial_second_derivative(field.v_theta, grid)
+    vt1, vt2 = _radial_derivatives(field.v_theta, grid)
     return 2.0 * field.v_s / (r * r) + vt1 / r + vt2 - field.gamma * field.v_theta
 
 
@@ -305,8 +299,7 @@ def toroidal_residual(
     poloidal - m * toroidal collapses to [2 - m(m-1)] v_s / r^2 nodewise.
     """
     r = grid.nodes
-    vs1 = radial_derivative(field.v_s, grid)
-    vs2 = radial_second_derivative(field.v_s, grid)
+    vs1, vs2 = _radial_derivatives(field.v_s, grid)
     weight = r * r if eigen_convention else r
     return (field.v_theta - field.v_s) / weight + vs1 / r + vs2 - field.gamma * field.v_s
 
@@ -525,9 +518,8 @@ def incompressibility_defect(field: TubeFlowField, grid: RadialGrid, v_r=None) -
     profiles; a nonzero radial component contributes (1/r) d(r v_r)/dr and
     exposes solenoidality violations.
     """
+    if v_r is None:
+        return 0.0
     r = grid.nodes
-    divergence = np.zeros_like(r)
-    if v_r is not None:
-        radial = np.broadcast_to(np.asarray(v_r, dtype=float), r.shape)
-        divergence = divergence + radial_derivative(r * radial, grid) / r
-    return float(np.max(np.abs(divergence)))
+    radial = np.broadcast_to(np.asarray(v_r, dtype=float), r.shape)
+    return float(np.max(np.abs(radial_derivative(r * radial, grid) / r)))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,19 @@ class TestFilamentCommand:
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: eta sweep [1e-320, 1e-310, 1e-300]: ")
+        assert not (out / "manifest.json").exists()
+
+    def test_overflowing_sweep_exits_2_without_a_warning(self, tmp_path, capfd):
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("--command", "filament", "--out", str(out),
+                       "--eta=1e200,2e200,3e200") == 2
+        assert caught == []
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eta sweep [1e+200, 2e+200, 3e+200]: ")
+        assert "Warning" not in captured.err
         assert not (out / "manifest.json").exists()
 
 

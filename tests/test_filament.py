@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +243,29 @@ class TestClassifyDynamo:
     def test_complex_rates_classified_through_real_part(self):
         samples = [(eta, complex(0.3 * eta, 0.1)) for eta in (0.1, 0.2, 0.5, 1.0)]
         assert classify_dynamo(samples, tau=1.0) == REGIME_SLOW
+
+
+class TestSweepRangeCheck:
+    """classify_dynamo fits only a sweep whose sum of eta^2 is positive and finite
+    and whose growth rates are finite, and names the values it saw otherwise."""
+
+    @pytest.mark.parametrize("samples,seen", [
+        ([(0.1, 0.5), (math.nan, 0.5), (0.3, 0.5), (0.4, 0.5)], "sum of eta^2 = nan"),
+        ([(0.1, math.nan), (0.2, 1.0), (0.3, 2.0)], "growth rates [nan, 1.0, 2.0]"),
+        ([(0.1, math.inf), (0.2, 1.0), (0.3, 2.0)], "growth rates [inf, 1.0, 2.0]"),
+        ([(0.1, 1.0), (math.inf, 1.0), (0.3, 2.0)], "sum of eta^2 = inf"),
+        ([(eta, 0.5 * eta) for eta in (1e200, 2e200, 3e200)], "sum of eta^2 = inf"),
+    ])
+    def test_out_of_range_sweep_is_rejected(self, samples, seen, capfd):
+        etas = ", ".join(repr(float(eta)) for eta, _ in samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"eta sweep [{etas}]: ")) as info:
+                classify_dynamo(samples, tau=1.0)
+        assert seen in str(info.value)
+        assert "underflow" not in str(info.value)
+        # capfd, not capsys: a failing LAPACK fit prints to the stdout descriptor
+        assert capfd.readouterr().out == ""
 
 
 class TestDistinctEtaCount:

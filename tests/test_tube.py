@@ -4,7 +4,11 @@ import re
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from dynamokit import tube
+from dynamokit.finitediff import derivative_uniform, second_derivative_uniform
 from dynamokit.tube import (
     QuadraticEigenproblem,
     RadialGrid,
@@ -23,6 +27,7 @@ from dynamokit.tube import (
     pressure_profile,
     radial_derivative,
     radial_pressure_residual,
+    radial_second_derivative,
     toroidal_residual,
     tube_gradient,
     tube_line_element,
@@ -583,3 +588,132 @@ class TestIncompressibility:
         field = TubeFlowField.eigen_ansatz(log_grid, GOLDEN)
         defect = incompressibility_defect(field, log_grid, v_r=log_grid.nodes)
         assert defect == pytest.approx(2.0, rel=1e-2)
+
+
+def _closed_form_step(grid):
+    if grid.spacing == "log":
+        return (math.log(grid.r_max) - math.log(grid.r_min)) / (grid.count - 1)
+    return (grid.r_max - grid.r_min) / (grid.count - 1)
+
+
+class TestOneDerivativePath:
+    """Every radial derivative comes from one stencil pass, bit for bit as the formulas below.
+
+    The reference functions write out each derivative on its own: the chain
+    rule per derivative, and the natural step recomputed from the grid's four
+    fields.
+    """
+
+    @staticmethod
+    def d1(f, grid):
+        g1 = derivative_uniform(f, _closed_form_step(grid))
+        return g1 / grid.nodes if grid.spacing == "log" else g1
+
+    @staticmethod
+    def d2(f, grid):
+        h = _closed_form_step(grid)
+        if grid.spacing == "log":
+            g1 = derivative_uniform(f, h)
+            g2 = second_derivative_uniform(f, h)
+            return (g2 - g1) / (grid.nodes * grid.nodes)
+        return second_derivative_uniform(f, h)
+
+    def compact(self, f, grid):
+        r = grid.nodes
+        if grid.spacing == "log":
+            g2 = second_derivative_uniform(f, _closed_form_step(grid))
+            return (g2 + 2.0 * f) / (r * r)
+        return self.d2(f, grid) + self.d1(f, grid) / r + 2.0 * f / (r * r)
+
+    def poloidal(self, field, grid):
+        r = grid.nodes
+        vt1, vt2 = self.d1(field.v_theta, grid), self.d2(field.v_theta, grid)
+        return 2.0 * field.v_s / (r * r) + vt1 / r + vt2 - field.gamma * field.v_theta
+
+    def toroidal(self, field, grid, eigen_convention):
+        r = grid.nodes
+        vs1, vs2 = self.d1(field.v_s, grid), self.d2(field.v_s, grid)
+        weight = r * r if eigen_convention else r
+        return (field.v_theta - field.v_s) / weight + vs1 / r + vs2 - field.gamma * field.v_s
+
+    def incompressibility(self, grid, v_r):
+        r = grid.nodes
+        divergence = np.zeros_like(r)
+        if v_r is not None:
+            divergence = divergence + self.d1(r * v_r, grid) / r
+        return float(np.max(np.abs(divergence)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spacing=st.sampled_from(["linear", "log"]),
+        count=st.integers(16, 2000),
+        r_min=st.floats(1e-8, 0.5),
+        ratio=st.floats(1.0, 1e8, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.floats(-10.0, 10.0),
+    )
+    @example(spacing="log", count=16, r_min=0.1, ratio=1.0000000000000002, seed=0, gamma=0.0)
+    def test_bit_for_bit(self, spacing, count, r_min, ratio, seed, gamma):
+        assume(r_min * ratio > r_min)
+        grid = RadialGrid(r_min, r_min * ratio, count, spacing)
+        rng = np.random.default_rng(seed)
+        f, v_s, v_theta, v_r = rng.standard_normal((4, count))
+        field = TubeFlowField(0.5, 0.0, 1.0, 1.0, gamma, v_s, v_theta)
+        # r_max within a few ulps of r_min leaves a natural step of 0 or about 1e-17, and
+        # both sides then divide by it alike; the comparison below covers those values too
+        with np.errstate(all="ignore"):
+            pairs = [
+                (radial_derivative(f, grid), self.d1(f, grid)),
+                (radial_second_derivative(f, grid), self.d2(f, grid)),
+                (compact_operator_apply(f, grid), self.compact(f, grid)),
+                (poloidal_residual(field, grid), self.poloidal(field, grid)),
+            ]
+            for eigen in (False, True):
+                pairs.append((
+                    toroidal_residual(field, grid, eigen_convention=eigen),
+                    self.toroidal(field, grid, eigen),
+                ))
+            for radial in (None, v_r):
+                got = incompressibility_defect(field, grid, v_r=radial)
+                assert type(got) is float
+                pairs.append((got, self.incompressibility(grid, radial)))
+        for got, want in pairs:
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("eigen_convention", [None, False, True])
+    def test_each_residual_runs_each_stencil_once(self, monkeypatch, log_grid, eigen_convention):
+        calls = {}
+
+        def counted(name):
+            inner = getattr(tube, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(tube, name, wrapper)
+
+        for name in ("derivative_uniform", "second_derivative_uniform", "_samples_on"):
+            counted(name)
+        field = TubeFlowField.eigen_ansatz(log_grid, GOLDEN, gamma=0.3)
+        if eigen_convention is None:
+            poloidal_residual(field, log_grid)
+        else:
+            toroidal_residual(field, log_grid, eigen_convention=eigen_convention)
+        assert calls == {"derivative_uniform": 1, "second_derivative_uniform": 1, "_samples_on": 1}
+
+
+class TestGridFields:
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_natural_step_is_the_closed_form(self, spacing):
+        grid = RadialGrid(3e-4, 2.5, 97, spacing)
+        assert grid.natural_step == _closed_form_step(grid)
+        assert "natural_step" in vars(grid)
+
+    def test_only_the_four_fields_define_a_grid(self):
+        a = RadialGrid(0.1, 1.0, 16, "uniform-in-ln-r")
+        b = RadialGrid(0.1, 1.0, 16, "log")
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == "RadialGrid(r_min=0.1, r_max=1.0, count=16, spacing='log')"
+        assert a != RadialGrid(0.1, 1.0, 16, "linear")

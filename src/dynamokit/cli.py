@@ -1,11 +1,11 @@
 """Command-line reports: torus-map spectra, tube-flow diagnostics, filament
 growth-rate sweeps, and Frenet frame integrations.
 
-One command per invocation (--command {map,tube,filament,frenet}); every run
-writes manifest.json with the fully resolved parameter set, and identical
-configurations produce byte-identical CSV/JSON outputs.  A manifest is
-itself a valid --config input, so any run can be reproduced from its
-manifest.  Runs are seed-free and deterministic.
+One command per invocation (--command {map,tube,filament,frenet}).  A runner
+returns its outputs and main writes them once, manifest.json last, with the
+fully resolved parameter set; identical configurations produce byte-identical
+CSV/JSON outputs.  A manifest is itself a valid --config input, so any run can
+be reproduced from its manifest.  Runs are seed-free and deterministic.
 
 Exit codes: 0 success, 2 invalid input, 3 output I/O failure.
 """
@@ -217,20 +217,8 @@ def _canonical(value) -> str:
     return str(value)
 
 
-def _manifest(cfg: RunConfig, derived: dict | None = None) -> dict:
-    doc = {
-        "toolkit_version": __version__,
-        "command": cfg.command,
-        "formats": list(cfg.formats),
-        "parameters": {key: _canonical(value) for key, value in sorted(cfg.parameters.items())},
-    }
-    if derived:
-        doc["derived"] = derived
-    return doc
-
-
-def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, svg_specs) -> None:
-    """Write the requested csv/json/svg files, then manifest.json.
+def _emit(cfg: RunConfig, name: str, results: dict, csv_specs, svg_specs, derived) -> None:
+    """Write the csv/json/svg files a runner returned, then manifest.json.
 
     Every file is written into a staging directory inside the output directory
     and moved into place only after all writers succeeded, the manifest last.
@@ -238,6 +226,14 @@ def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, s
     that this run does not write is deleted, so the outputs beside a manifest
     are exactly the ones it describes.
     """
+    manifest = {
+        "toolkit_version": __version__,
+        "command": cfg.command,
+        "formats": list(cfg.formats),
+        "parameters": {key: _canonical(value) for key, value in sorted(cfg.parameters.items())},
+    }
+    if derived:
+        manifest["derived"] = derived
     manifest_path = cfg.output_dir / "manifest.json"
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=cfg.output_dir))
     try:
@@ -263,7 +259,7 @@ def _emit(cfg: RunConfig, manifest: dict, results: dict, name: str, csv_specs, s
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def run_map_report(cfg: RunConfig) -> None:
+def run_map_report(cfg: RunConfig) -> tuple:
     from . import maps  # each runner imports its own kernel, so a run loads no other
     p = cfg.parameters
     name = p["map"]
@@ -318,10 +314,10 @@ def run_map_report(cfg: RunConfig) -> None:
         (f"{name}_growth", steps, time_average,
          f"log growth per iteration: {name}", "iterations n", "time-average log growth"),
     ]
-    _emit(cfg, _manifest(cfg, derived={"matrix": matrix}), results, name, csv_specs, svg_specs)
+    return name, results, csv_specs, svg_specs, {"matrix": matrix}
 
 
-def run_tube_report(cfg: RunConfig) -> None:
+def run_tube_report(cfg: RunConfig) -> tuple:
     from . import tube
     p = cfg.parameters
     grid = tube.RadialGrid(p["r-min"], p["r-max"], p["nodes"], p["spacing"])
@@ -351,10 +347,10 @@ def run_tube_report(cfg: RunConfig) -> None:
          (r, field.v_s, field.v_theta, pressure, alpha, residual_p, residual_t)),
     ]
     svg_specs = [("pressure", r, pressure, "pressure profile", "r", "p(r)")]
-    _emit(cfg, _manifest(cfg), results, "report", csv_specs, svg_specs)
+    return "report", results, csv_specs, svg_specs, None
 
 
-def run_filament_sweep(cfg: RunConfig) -> None:
+def run_filament_sweep(cfg: RunConfig) -> tuple:
     from . import filament
     p = cfg.parameters
     etas = p["eta"]
@@ -397,10 +393,10 @@ def run_filament_sweep(cfg: RunConfig) -> None:
                           "growth rate vs diffusivity", "eta", "Re gamma_1"))
     elif "svg" in cfg.formats:  # a plot needs a point; the manifest says why there is none
         derived = {"svg_omitted": "no eta of the sweep has a growth rate"}
-    _emit(cfg, _manifest(cfg, derived), results, "report", csv_specs, svg_specs)
+    return "report", results, csv_specs, svg_specs, derived
 
 
-def run_frenet(cfg: RunConfig) -> None:
+def run_frenet(cfg: RunConfig) -> tuple:
     from . import frenet
     p = cfg.parameters
     # RK4 on the frame's rotation eigenvalues +-i*w is stable for h*w <= 2*sqrt(2), where
@@ -441,7 +437,7 @@ def run_frenet(cfg: RunConfig) -> None:
         ("defect", trajectory.arclengths, trajectory.defects,
          "orthonormality defect along the curve", "s", "defect"),
     ]
-    _emit(cfg, _manifest(cfg), results, "report", csv_specs, svg_specs)
+    return "report", results, csv_specs, svg_specs, None
 
 
 _RUNNERS = {
@@ -470,8 +466,8 @@ def main(argv=None) -> int:
         # The writers reject every non-finite output and name its file, column
         # and row, so numpy's floating-point warnings would only repeat that.
         with np.errstate(all="ignore"):
-            _RUNNERS[cfg.command](cfg)
-    except (InputError, ValueError) as exc:
+            _emit(cfg, *_RUNNERS[cfg.command](cfg))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

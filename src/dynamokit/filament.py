@@ -221,8 +221,9 @@ def classify_dynamo(samples, tau: float) -> str:
     regardless of the samples.  Otherwise a linear fit gamma = s eta + g0
     decides: |g0| < 1e-10 with max fit residual < 1e-8 is slow; an
     extrapolated intercept above 1e-10 is fast-candidate; anything else
-    is degenerate (the samples do not support a verdict).  Complex rates are
-    fitted through their real parts.
+    is degenerate (the samples do not support a verdict), and so is a sweep
+    whose fit matrix [eta, 1] has rank below 2 (etas a few ulps apart).
+    Complex rates are fitted through their real parts.
     """
     if tau == 0.0:
         return REGIME_NON_DYNAMO_PLANAR
@@ -237,7 +238,9 @@ def classify_dynamo(samples, tau: float) -> str:
     if not (0.0 < sum_sq < math.inf and np.isfinite(gammas).all()):
         raise ValueError(f"eta sweep {etas.tolist()}: sum of eta^2 = {sum_sq!r} and growth rates "
                          f"{gammas.tolist()}; the fit needs a positive finite sum and finite rates")
-    slope, intercept = np.polyfit(etas, gammas, 1)
+    (slope, intercept), _, rank, *_ = np.polyfit(etas, gammas, 1, full=True)
+    if rank < 2:
+        return REGIME_DEGENERATE
     fit_residual = float(np.max(np.abs(slope * etas + intercept - gammas)))
     if abs(intercept) < _INTERCEPT_TOL and fit_residual < _RESIDUAL_TOL:
         return REGIME_SLOW

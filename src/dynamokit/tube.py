@@ -68,7 +68,8 @@ class RadialGrid:
     The long spellings "uniform-in-r" / "uniform-in-ln-r" are accepted as
     aliases.  r = 0 is excluded: the compact operator, the -ln r profile and
     the alpha effect are all singular on the axis, which is probed by limit
-    sequences instead.  natural_step is the node spacing in r or ln r.
+    sequences instead.  natural_step is the node spacing in r or ln r; a grid
+    whose step is not positive or whose nodes fail to increase is rejected.
     """
 
     r_min: float
@@ -92,6 +93,9 @@ class RadialGrid:
         else:
             nodes = np.linspace(self.r_min, self.r_max, self.count)
             step = (self.r_max - self.r_min) / (self.count - 1)
+        if not (step > 0.0 and (np.diff(nodes) > 0.0).all()):
+            raise ValueError(f"r_min {self.r_min!r} and r_max {self.r_max!r} lie too close "
+                             f"together for {self.count} strictly increasing nodes")
         nodes.setflags(write=False)
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "natural_step", step)
@@ -200,7 +204,7 @@ def log_radial_check(f, grid: RadialGrid) -> float:
     returned defect.  Pass f as a sympy expression or as a callable built
     from sympy functions (plain polynomials and rationals in r work as-is).
     sympy is imported here, on first use, so the rest of the package runs
-    on numpy alone.
+    on numpy alone; install it with the ``symbolic`` extra.
     """
     import sympy as sp
 

@@ -168,6 +168,18 @@ class TestTubeCommand:
         assert capsys.readouterr().err.startswith("error: numerical overflow: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize("r_min,r_max", [("0.3", "0.30000000000000004"),
+                                             ("0.1", "0.10000000000000002")])
+    def test_range_one_ulp_wide_exits_2_naming_it(self, tmp_path, capsys, r_min, r_max,
+                                                  spacing):
+        out = tmp_path / "x"
+        assert run("--command", "tube", "--out", str(out), "--r-min", r_min,
+                   "--r-max", r_max, "--spacing", spacing) == 2
+        assert capsys.readouterr().err == (f"error: r_min {r_min} and r_max {r_max} lie too "
+                                           "close together for 256 strictly increasing nodes\n")
+        assert list(out.iterdir()) == []
+
     def test_failed_run_leaves_no_outputs_and_names_the_column(self, tmp_path):
         out = tmp_path / "failed"
         env = dict(os.environ, PYTHONPATH=str(Path(dynamokit.__file__).parents[1]))
@@ -274,6 +286,15 @@ class TestFilamentCommand:
         assert captured.err.startswith("error: eta sweep [1e+200, 2e+200, 3e+200]: ")
         assert "Warning" not in captured.err
         assert not (out / "manifest.json").exists()
+
+    def test_sweep_one_ulp_apart_is_degenerate_without_a_warning(self, tmp_path, capfd):
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--command", "filament", "--out", str(out),
+                       "--eta=1,1.0000000000000002,1.0000000000000004") == 0
+        assert capfd.readouterr() == ("", "")
+        assert read_json(out / "filament_report.json")["results"]["verdict"] == "degenerate"
 
 
 class TestFrenetCommand:
@@ -385,6 +406,25 @@ class TestRerunIntoOneDirectory:
             "manifest.json", "notes.txt", "tube_pressure.svg", "tube_profiles.csv",
             "tube_report.json"]
         assert (out / "notes.txt").read_text() == "kept"
+
+
+class TestRunnersReturnOutputs:
+    """A runner computes and returns its outputs; only main writes them."""
+
+    @pytest.mark.parametrize("command,runner", [
+        ("map", cli.run_map_report), ("tube", cli.run_tube_report),
+        ("filament", cli.run_filament_sweep), ("frenet", cli.run_frenet),
+    ])
+    def test_runner_writes_nothing(self, tmp_path, command, runner):
+        out = tmp_path / "absent"
+        cfg = cli._resolve(cli._build_parser().parse_args(
+            ["--command", command, "--out", str(out)]))
+        outputs = runner(cfg)
+        assert isinstance(outputs, tuple) and len(outputs) == 5
+        name, results, _csv_specs, _svg_specs, derived = outputs
+        assert isinstance(name, str) and isinstance(results, dict)
+        assert derived is None or isinstance(derived, dict)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigAndDeterminism:

@@ -240,6 +240,15 @@ class TestClassifyDynamo:
         with pytest.raises(ValueError, match=r"^eta sweep \[1e-320, 1e-310, 1e-300\]: "):
             classify_dynamo(samples, tau=1.0)
 
+    def test_rank_deficient_fit_is_degenerate_without_a_warning(self):
+        # three etas one ulp apart: [eta, 1] has rank 1 at polyfit's rcond
+        etas = (1.0, 1.0000000000000002, 1.0000000000000004)
+        assert len(set(etas)) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify_dynamo([(eta, 0.5 * eta) for eta in etas], tau=1.0) \
+                == REGIME_DEGENERATE
+
     def test_complex_rates_classified_through_real_part(self):
         samples = [(eta, complex(0.3 * eta, 0.1)) for eta in (0.1, 0.2, 0.5, 1.0)]
         assert classify_dynamo(samples, tau=1.0) == REGIME_SLOW

@@ -78,6 +78,15 @@ def test_runtime_never_imports_sympy(tmp_path):
     assert _fresh_python(script, str(tmp_path)).strip() == "False"
 
 
+def test_runtime_dependency_is_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert project["optional-dependencies"]["symbolic"] == ["sympy>=1.12"]
+    assert "sympy>=1.12" in project["optional-dependencies"]["test"]
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_each_command_loads_only_its_own_kernel(command, tmp_path):
     # as the console script runs it: import dynamokit.cli, call main

@@ -655,12 +655,21 @@ class TestOneDerivativePath:
     @example(spacing="log", count=16, r_min=0.1, ratio=1.0000000000000002, seed=0, gamma=0.0)
     def test_bit_for_bit(self, spacing, count, r_min, ratio, seed, gamma):
         assume(r_min * ratio > r_min)
-        grid = RadialGrid(r_min, r_min * ratio, count, spacing)
+        r_max = r_min * ratio
+        # r_max within a few ulps of r_min can leave a natural step of 0 or nodes that do
+        # not strictly increase: the grid refuses those draws, and compares all others
+        nodes = (np.geomspace if spacing == "log" else np.linspace)(r_min, r_max, count)
+        span = math.log(r_max) - math.log(r_min) if spacing == "log" else r_max - r_min
+        if not (span / (count - 1) > 0.0 and (np.diff(nodes) > 0.0).all()):
+            with pytest.raises(ValueError, match="r_min .* and r_max .* strictly increasing"):
+                RadialGrid(r_min, r_max, count, spacing)
+            return
+        grid = RadialGrid(r_min, r_max, count, spacing)
         rng = np.random.default_rng(seed)
         f, v_s, v_theta, v_r = rng.standard_normal((4, count))
         field = TubeFlowField(0.5, 0.0, 1.0, 1.0, gamma, v_s, v_theta)
-        # r_max within a few ulps of r_min leaves a natural step of 0 or about 1e-17, and
-        # both sides then divide by it alike; the comparison below covers those values too
+        # a grid a few dozen ulps wide has a natural step near 1e-17, and both sides then
+        # divide by it alike; the comparison below covers the values that gives too
         with np.errstate(all="ignore"):
             pairs = [
                 (radial_derivative(f, grid), self.d1(f, grid)),

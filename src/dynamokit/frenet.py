@@ -265,7 +265,7 @@ def _gram_schmidt(y, s: float, defect: float, events: list) -> tuple[tuple, floa
 def _dense_steps(e, profile: CurveProfile, flat, defects, arclengths, i: int, n_full: int,
                  step: float, remainder: float, events: list) -> int:
     """Steps y <- E y + y on the frame's nine Python floats from sample i, each with its defect
-    and event; a full step takes the given 3x3 E (a constant profile's E_1), any other its own
+    and event; a full step takes the given 3x3 E (E_1 after a chunk's event), any other its own
     _step_matrix.  Given E, stops after the first clean full step, else at the end of the run."""
     full = None if e is None else e.ravel().tolist()
     n_steps, y, clean = len(arclengths) - 1, flat[i].tolist(), False
@@ -322,11 +322,11 @@ def integrate_frame(
 
     The RK4 step of y' = A y is linear: y -> E y + y, every E from _step_matrix.
     A constant profile's full steps advance in chunks P^1..P^m y, P = I + E_1,
-    scanned for the first frame above the tolerance; m halves after an event and
-    doubles after a clean chunk, up to 256.  All other steps run in one scalar
+    scanned for the first frame above the tolerance; m starts at 1, doubles after
+    a clean chunk up to 256 and never shrinks.  All other steps run in one scalar
     loop on the frame's nine Python floats, each with its defect and event: a
     variable profile's steps and the shortened final step with their own E, and
-    a constant profile's steps once events shrink m to 1 with E_1, up to a clean step.
+    after a chunk's event, E_1 steps up to a clean one, where the scan resumes.
     """
     if not all(map(math.isfinite, (s_start, s_end, step))):
         raise ValueError(f"s_start, s_end and step must be finite, got {s_start}, {s_end}, {step}")
@@ -355,27 +355,25 @@ def integrate_frame(
     if n_full and profile._kappa_const is not None and profile._tau_const is not None:
         e1 = np.array(_step_matrix(profile, s_start, step)).reshape(3, 3)
         increments = e1[None]  # E_k = P^k - I for k = 1, 2, ...
-    while e1 is not None and i < n_full:
-        m = min(chunk, n_full - i)
-        while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
-            last = increments[-1]
-            increments = np.concatenate((increments, increments + last + increments @ last))
-        y = frames[i]
-        frames[i + 1:i + m + 1] = (increments[:m].reshape(-1, 3) @ y).reshape(m, 3, 3) + y
-        defects[i + 1:i + m + 1] = _frame_defects(frames[i + 1:i + m + 1])
-        # the first frame above the tolerance, or with a NaN defect, ends the chunk
-        k = int(np.argmin(defects[i + 1:i + m + 1] <= ORTHONORMALITY_TOL))
-        if defects.item(i + 1 + k) <= ORTHONORMALITY_TOL:
-            i, chunk = i + m, min(2 * chunk, _MAX_CHUNK)
-            continue
-        i, chunk = i + 1 + k, max(chunk // 2, 1)
-        # a non-finite frame has a non-finite defect, so only a flagged frame can be one
-        flat[i], defects[i] = _gram_schmidt(flat[i].tolist(), arclengths.item(i), defects.item(i),
-                                            events)
-        if chunk == 1:  # events on every step: leave numpy
-            i, chunk = _dense_steps(e1, profile, flat, defects, arclengths, i, n_full, step,
-                                    remainder, events), 2
-    _dense_steps(e1, profile, flat, defects, arclengths, i, n_full, step, remainder, events)
+    while i < n_steps:
+        if e1 is not None and i < n_full:
+            m = min(chunk, n_full - i)
+            while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
+                last = increments[-1]
+                increments = np.concatenate((increments, increments + last + increments @ last))
+            y = frames[i]
+            frames[i + 1:i + m + 1] = (increments[:m].reshape(-1, 3) @ y).reshape(m, 3, 3) + y
+            defects[i + 1:i + m + 1] = _frame_defects(frames[i + 1:i + m + 1])
+            # the first frame above the tolerance, or with a NaN defect, ends the chunk
+            k = int(np.argmin(defects[i + 1:i + m + 1] <= ORTHONORMALITY_TOL))
+            if defects.item(i + 1 + k) <= ORTHONORMALITY_TOL:
+                i, chunk = i + m, min(2 * chunk, _MAX_CHUNK)
+                continue
+            i += 1 + k
+            # a non-finite frame has a non-finite defect, so only a flagged frame can be one
+            flat[i], defects[i] = _gram_schmidt(flat[i].tolist(), arclengths.item(i),
+                                                defects.item(i), events)
+        i = _dense_steps(e1, profile, flat, defects, arclengths, i, n_full, step, remainder, events)
     # every stored defect is taken after Gram-Schmidt, so each event's defect is above it
     max_defect = max([defects[1:].max(initial=0.0).item(), *(defect for _, defect in events)])
     for array in (arclengths, frames, defects):

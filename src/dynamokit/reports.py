@@ -104,7 +104,7 @@ def _csv_field(x, empty: str = "") -> str:
     if x is None or x == "":
         return empty
     if not isinstance(x, str):
-        return "%.17g" % x
+        return format(x, FLOAT_FORMAT)
     # csv.writer's minimal quoting: only a cell holding one of , " CR LF is quoted
     return '"%s"' % x.replace('"', '""') if any(c in x for c in ',"\r\n') else x
 
@@ -117,7 +117,7 @@ def write_csv(path: Path, header, *columns) -> None:
     non-finite value raise ValueError before the file opens; the last names
     the file, column and data row of the first one in row order.  The bytes
     are csv.writer's, without its module: one row template per table, with a
-    %.17g slot per numeric column and a %s slot, filled by _csv_field, per other.
+    FLOAT_FORMAT slot per numeric column and a %s slot, filled by _csv_field, per other.
     """
     values = [np.asarray(column) for column, _ in zip(columns, header, strict=True)]
     numeric = [v.dtype.kind in "iuf" for v in values]
@@ -130,7 +130,7 @@ def write_csv(path: Path, header, *columns) -> None:
                          f"cannot serialise non-finite value {float(columns[index][row])!r}")
     # csv.writer quotes a row whose only field is empty, so that it is not a blank line
     empty = '""' if len(columns) == 1 else ""
-    line = ",".join("%.17g" if num else "%s" for num in numeric) + "\r\n"
+    line = ",".join("%" + FLOAT_FORMAT if num else "%s" for num in numeric) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_csv_field(name, empty) for name in header) + "\r\n")
         for start in range(0, len(finite), _CSV_BLOCK_ROWS):

@@ -4,12 +4,16 @@ The parser is fed arbitrary key=value text, JSON documents and raw bytes, and
 may only answer with InputError (exit 2).  Every report, rerun from its own
 manifest.json, reproduces its CSV and JSON byte for byte.  A run with extreme
 flag values (0, subnormals, +-1e300, nan, inf, out-of-range counts) exits 0, 2
-or 3, and leaves a manifest exactly when it exits 0.  All run in process.
+or 3, and leaves a manifest exactly when it exits 0, and so does a run whose
+range ends or diffusivities lie a few ulps apart.  All run in process.
 """
 
+import contextlib
+import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -253,3 +257,67 @@ class TestExtremeValues:
                     assert expected - written == {"filament_sweep.svg"}
                 else:
                     assert expected <= written
+
+
+def _up(x: float, k: int) -> float:
+    """x moved k ulps towards +inf."""
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+ULPS = st.sampled_from([1, 2, 3, 10, 1000])
+# m * 10^e for e in -300..299: every decade from 1e-300 to 1e300 is as likely
+MAGNITUDES = st.builds(lambda m, e: m * 10.0**e, _floats(1.0, 10.0), st.integers(-300, 299))
+SIGNED = st.just(0.0) | _floats(-5.0, 5.0) | MAGNITUDES | MAGNITUDES.map(lambda x: -x)
+TINY_STEPS = st.sampled_from([5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-30, 1e-17])
+# Flags of each command drawn k ulps apart
+ADJACENT = {
+    "tube": st.builds(lambda r, k: {"r-min": r, "r-max": _up(r, k)}, MAGNITUDES, ULPS),
+    "frenet": st.builds(lambda s, k, h: {"s-start": s, "s-end": _up(s, k), "step": h},
+                        SIGNED, ULPS, _floats(0.01, 0.5) | TINY_STEPS),
+    "filament": st.builds(lambda eta, k: {"eta": ",".join(repr(_up(eta, j * k)) for j in range(3))},
+                          MAGNITUDES, ULPS),
+}
+# A command's ordinary parameters with its adjacent ones in place
+ADJACENT_RUNS = st.sampled_from(sorted(ADJACENT)).flatmap(lambda command: st.tuples(
+    st.just(command), PARAMETERS[command], ADJACENT[command]))
+
+
+class TestAdjacentFloats:
+    """Range ends, or the etas of a sweep, a few ulps apart: a degenerate range never passes.
+
+    Runs use the default formats, so an exit 0 leaves every file of csv, json and svg.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=ADJACENT_RUNS)
+    def test_exit_code_outputs_and_stderr(self, run):
+        command, ordinary, adjacent = run
+        params = {**ordinary, **adjacent}
+        # a frenet run past the row cap exits 2 at once; a long one below it only costs time
+        if command == "frenet":
+            steps = (params["s-end"] - params["s-start"]) / params["step"]
+            assume(not _FRENET_STEPS < steps <= cli.MAX_TABLE_ROWS)
+        # not _argv, which reads frenet's s-end as a span
+        argv = ["--command", command, *(f"--{key}={value}" for key, value in params.items())]
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as root:
+            out = Path(root) / "out"
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error")  # a raw numpy warning fails the run
+                code = main([*argv, "--out", str(out)])
+            assert code in (0, 2, 3)
+            assert (out / "manifest.json").exists() == (code == 0)
+            if code == 0:
+                assert stderr.getvalue() == ""
+                # every file of the default formats, bar a plot the manifest says is omitted
+                derived = json.loads((out / "manifest.json").read_text()).get("derived", {})
+                skip = "svg" if "svg_omitted" in derived else None
+                assert ({name for fmt, names in OUTPUTS[command].items() if fmt != skip
+                         for name in names} <= {path.name for path in out.iterdir()})
+            if code == 0 and command == "tube":
+                lines = (out / "tube_profiles.csv").read_text().splitlines()[1:]
+                r = [float(line.split(",", 1)[0]) for line in lines]
+                assert all(a < b for a, b in zip(r, r[1:]))
+                assert params["r-min"] <= r[0] and r[-1] <= params["r-max"]

@@ -347,6 +347,8 @@ class TestPropagatorMatchesStageLoop:
     @settings(max_examples=8, deadline=None)
     @example(kappa=4.46, tau=2.98, step=0.465, n_full=20000, fraction=0.5)
     @example(kappa=1.0, tau=1.0, step=1e-3, n_full=10000, fraction=0.0)
+    @example(kappa=1.0, tau=0.0, step=0.08, n_full=12500, fraction=0.0)  # events every few steps
+    @example(kappa=1.0, tau=0.0, step=0.1, n_full=4000, fraction=0.0)  # events every other step
     @given(
         kappa=st.floats(0.0, 5.0),
         tau=st.floats(-3.0, 3.0),
@@ -445,6 +447,17 @@ class TestDenseEventSteps:
         assert [frame_defect(frame) for frame in propagated.frames] == propagated.defects.tolist()
         for k in np.searchsorted(propagated.arclengths, events):
             assert FrenetFrame(*propagated.frames[k]).orthonormality_defect() <= ORTHONORMALITY_TOL
+
+    def test_chunk_never_shrinks_after_an_event(self, monkeypatch):
+        scans, defects = [], frenet._frame_defects
+        monkeypatch.setattr(frenet, "_frame_defects", lambda f: scans.append(len(f)) or defects(f))
+        traj = integrate_frame(CurveProfile.constant(1.0, 0.0), 0.0, 1000.0, 0.08,
+                               FrenetFrame.canonical())
+        n_full, events = 12500, len(traj.reorthonormalizations)
+        assert len(traj.arclengths) == n_full + 1 and events > 2000
+        # a clean scan at most doubles the chunk: at most 8 clean scans run below 256 frames and
+        # one is clipped at the end; every other scan covers 256 frames or ends in an event
+        assert len(scans) <= events + 9 + math.ceil(n_full / 256)
 
     @staticmethod
     def _dense_steps_with(monkeypatch, matrix):

@@ -399,16 +399,17 @@ def run_filament_sweep(cfg: RunConfig) -> tuple:
 def run_frenet(cfg: RunConfig) -> tuple:
     from . import frenet
     p = cfg.parameters
+    span = p["s-end"] - p["s-start"]
     # RK4 on the frame's rotation eigenvalues +-i*w is stable for h*w <= 2*sqrt(2), where
     # |R(iy)|^2 = 1 - y^6/72 + y^8/576 reaches 1; past it every step amplifies the frame
     # and the re-orthonormalised frames no longer follow the curve
-    taken = min(p["step"], p["s-end"] - p["s-start"]) * math.hypot(p["kappa0"], p["tau0"])
+    taken = min(p["step"], span) * math.hypot(p["kappa0"], p["tau0"])
     if taken > _RK4_STABLE:
         raise InputError(f"--step {p['step']!r}: the step times hypot(kappa0, tau0) is "
                          f"{taken:.6g}, above RK4's stability bound 2*sqrt(2) = {_RK4_STABLE:.6g}")
     # one table row per step: the same cap as the table flags, before anything is allocated;
     # integrate_frame rejects a step that is not positive
-    requested = (p["s-end"] - p["s-start"]) / p["step"] if p["step"] > 0.0 else 0.0
+    requested = span / p["step"] if p["step"] > 0.0 else 0.0
     if not requested <= MAX_TABLE_ROWS:
         raise InputError(f"--step {p['step']!r} from --s-start {p['s-start']!r} to --s-end "
                          f"{p['s-end']!r} asks for {requested:.10g} steps; at most "
@@ -418,7 +419,6 @@ def run_frenet(cfg: RunConfig) -> tuple:
         profile, p["s-start"], p["s-end"], p["step"], frenet.FrenetFrame.canonical()
     )
     rotation = frenet.accumulated_rotation_angle(trajectory)
-    span = p["s-end"] - p["s-start"]
     results = {
         "samples": len(trajectory.arclengths),
         "max_defect": trajectory.max_defect,

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,22 +51,16 @@ class MetricDegeneracyWarning(UserWarning):
     """Tube radius exceeds the local curvature radius: metric stretch factor <= 0."""
 
 
-def _as_profile_function(value) -> tuple[Callable[[float], float], float | None]:
-    """Normalise a constant-or-callable profile entry to (callable, constant)."""
-    if callable(value):
-        return value, None
-    const = float(value)
-    return (lambda s: const), const
-
-
 @dataclass(frozen=True)
 class CurveProfile:
     """Curvature/torsion profile kappa(s), tau(s) with optional analytic dkappa/ds.
 
-    kappa and tau accept a constant or a callable of arclength.  When no
-    analytic derivative is supplied, dkappa/ds falls back to the central
-    difference (kappa(s+h) - kappa(s-h)) / 2h with h = 1e-5, which is
-    consistent with kappa to order h^2.
+    kappa, tau and kappa_prime accept a constant or a callable of arclength;
+    the entries are kept as given, and a constant is converted to float once,
+    at construction.  When no analytic derivative is supplied, dkappa/ds is 0
+    for a constant kappa and otherwise the central difference
+    (kappa(s+h) - kappa(s-h)) / 2h with h = 1e-5, which is consistent with
+    kappa to order h^2.
     """
 
     kappa: object
@@ -75,20 +68,17 @@ class CurveProfile:
     kappa_prime: object = None
 
     def __post_init__(self):
-        kappa_fn, kappa_const = _as_profile_function(self.kappa)
-        tau_fn, tau_const = _as_profile_function(self.tau)
-        if self.kappa_prime is not None:
-            kp_fn, _ = _as_profile_function(self.kappa_prime)
-        elif kappa_const is not None:
+        kappa_fn, tau_fn, kp_fn = (value if value is None or callable(value)
+                                   else (lambda s, const=float(value): const)
+                                   for value in (self.kappa, self.tau, self.kappa_prime))
+        if kp_fn is None and not callable(self.kappa):
             kp_fn = lambda s: 0.0  # noqa: E731 - constant curvature
-        else:
+        elif kp_fn is None:
             h = _FD_STEP
             kp_fn = lambda s: (kappa_fn(s + h) - kappa_fn(s - h)) / (2.0 * h)  # noqa: E731
         object.__setattr__(self, "_kappa_fn", kappa_fn)
         object.__setattr__(self, "_tau_fn", tau_fn)
         object.__setattr__(self, "_kappa_prime_fn", kp_fn)
-        object.__setattr__(self, "_kappa_const", kappa_const)
-        object.__setattr__(self, "_tau_const", tau_const)
 
     @classmethod
     def constant(cls, kappa0: float, tau0: float) -> "CurveProfile":
@@ -98,7 +88,7 @@ class CurveProfile:
     @property
     def tau_constant(self) -> float | None:
         """The constant torsion value when tau was supplied as a constant, else None."""
-        return self._tau_const
+        return None if callable(self.tau) else self.tau_at(0.0)
 
     def kappa_at(self, s: float) -> float:
         k = self._kappa_fn(s)
@@ -220,8 +210,8 @@ class FrameTrajectory:
     arclengths: np.ndarray
     frames: np.ndarray
     defects: np.ndarray
-    reorthonormalizations: list[tuple[float, float]] = field(default_factory=list)
-    max_defect: float = 0.0
+    reorthonormalizations: list[tuple[float, float]]
+    max_defect: float
 
     @property
     def samples(self) -> Sequence[tuple[float, FrenetFrame]]:
@@ -316,7 +306,8 @@ def integrate_frame(
     The frame is sampled after every step; a shortened final step lands
     exactly on s_end when the span is not an integer number of steps.
     Non-finite bounds or step, and spans needing more than MAX_STEPS steps,
-    are rejected before anything is allocated.
+    are rejected before anything is allocated; a step too small to advance
+    every sample's s past the one before is rejected before the frames are.
     Orthonormality drift beyond ORTHONORMALITY_TOL triggers a Gram-Schmidt
     re-orthonormalisation, recorded in the trajectory with the drift it removed.
 
@@ -346,13 +337,16 @@ def integrate_frame(
     arclengths = np.append(s_start, s_start + np.arange(1, n_steps + 1) * step)
     if n_steps:
         arclengths[-1] = s_end
+    if not (arclengths[1:] > arclengths[:-1]).all():
+        raise ValueError(f"step {step!r} does not strictly advance s from s_start {s_start!r} "
+                         f"to s_end {s_end!r}")
     frames = np.empty((n_steps + 1, 3, 3))
     flat = frames.reshape(-1, 9)  # a view: one row of nine entries per frame
     defects = np.empty(n_steps + 1)
     frames[0] = initial.t, initial.n, initial.b
     defects[0] = initial.orthonormality_defect()
     events, i, chunk, e1 = [], 0, 1, None
-    if n_full and profile._kappa_const is not None and profile._tau_const is not None:
+    if n_full and not (callable(profile.kappa) or callable(profile.tau)):
         e1 = np.array(_step_matrix(profile, s_start, step)).reshape(3, 3)
         increments = e1[None]  # E_k = P^k - I for k = 1, 2, ...
     while i < n_steps:

@@ -68,8 +68,9 @@ class RadialGrid:
     The long spellings "uniform-in-r" / "uniform-in-ln-r" are accepted as
     aliases.  r = 0 is excluded: the compact operator, the -ln r profile and
     the alpha effect are all singular on the axis, which is probed by limit
-    sequences instead.  natural_step is the node spacing in r or ln r; a grid
-    whose step is not positive or whose nodes fail to increase is rejected.
+    sequences instead.  nodes holds the read-only nodes and natural_step their
+    spacing in r or ln r; a grid whose step is not positive or whose nodes
+    fail to increase is rejected.
     """
 
     r_min: float
@@ -97,12 +98,8 @@ class RadialGrid:
             raise ValueError(f"r_min {self.r_min!r} and r_max {self.r_max!r} lie too close "
                              f"together for {self.count} strictly increasing nodes")
         nodes.setflags(write=False)
-        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "natural_step", step)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._nodes
 
     @classmethod
     def default_log(cls, r_max: float = 1.0, count: int = 256) -> "RadialGrid":

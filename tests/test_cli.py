@@ -340,6 +340,14 @@ class TestFrenetCommand:
         assert "--step" in err and "--s-end" in err and "1000001 steps" in err
         assert not (out / "manifest.json").exists()
 
+    def test_step_that_cannot_advance_s_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("--command", "frenet", "--out", str(out), "--s-start", "1.0",
+                   "--s-end", "1.0000000000000007", "--step", "1e-17") == 2
+        assert capsys.readouterr().err == ("error: step 1e-17 does not strictly advance s from "
+                                           "s_start 1.0 to s_end 1.0000000000000007\n")
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("flag,value", [("--s-end", "nan"), ("--s-start", "nan"),
                                             ("--s-end", "inf"), ("--kappa0", "inf")])
     def test_non_finite_value_exits_2_naming_its_flag(self, tmp_path, capsys, flag, value):

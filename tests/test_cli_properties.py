@@ -291,6 +291,9 @@ class TestAdjacentFloats:
     """
 
     @settings(max_examples=60, deadline=None)
+    @example(run=("frenet", {"kappa0": 1.0, "tau0": 1.0, "s-start": 0.0, "s-end": 1.0,
+                             "step": 0.01},
+                  {"s-start": 1.0, "s-end": 1.0000000000000007, "step": 1e-17}))  # s repeats
     @given(run=ADJACENT_RUNS)
     def test_exit_code_outputs_and_stderr(self, run):
         command, ordinary, adjacent = run
@@ -321,3 +324,8 @@ class TestAdjacentFloats:
                 r = [float(line.split(",", 1)[0]) for line in lines]
                 assert all(a < b for a, b in zip(r, r[1:]))
                 assert params["r-min"] <= r[0] and r[-1] <= params["r-max"]
+            if code == 0 and command == "frenet":
+                lines = (out / "frenet_frames.csv").read_text().splitlines()[1:]
+                s = [float(line.split(",", 1)[0]) for line in lines]
+                assert all(a < b for a, b in zip(s, s[1:]))
+                assert params["s-start"] <= s[0] and s[-1] <= params["s-end"]

@@ -322,6 +322,12 @@ class TestIntegrateFrame:
             integrate_frame(CurveProfile.constant(1.0, 0.0), s_start, s_end, step,
                             FrenetFrame.canonical())
 
+    def test_rejects_a_step_that_cannot_advance_s(self):
+        # 1e-13 is below the spacing of floats near 1e6: s_start + k * step repeats values
+        with pytest.raises(ValueError, match=r"step 1e-13 .* s_start 1000000.0 to s_end"):
+            integrate_frame(CurveProfile.constant(1, 1), 1e6, 1e6 + 2e-9, 1e-13,
+                            FrenetFrame.canonical())
+
     def test_rejects_negative_curvature(self):
         with pytest.raises(ValueError):
             integrate_frame(
@@ -458,6 +464,26 @@ class TestDenseEventSteps:
         # a clean scan at most doubles the chunk: at most 8 clean scans run below 256 frames and
         # one is clipped at the end; every other scan covers 256 frames or ends in an event
         assert len(scans) <= events + 9 + math.ceil(n_full / 256)
+
+    @pytest.mark.parametrize("profile", [CurveProfile(kappa=1.0, tau=lambda s: 0.5),
+                                         CurveProfile(kappa=lambda s: 1.0, tau=0.5)])
+    def test_a_profile_with_a_callable_entry_never_scans(self, monkeypatch, profile):
+        scans, defects = [], frenet._frame_defects
+        monkeypatch.setattr(frenet, "_frame_defects", lambda f: scans.append(len(f)) or defects(f))
+        traj = integrate_frame(profile, 0.0, 1.0, 0.01, FrenetFrame.canonical())
+        assert len(traj.arclengths) == 101 and scans == []
+
+    @pytest.mark.parametrize("kappa,tau", [(1, 0), (np.float64(1.0), np.float64(0.5))])
+    def test_a_constant_given_as_int_or_numpy_float_scans(self, monkeypatch, kappa, tau):
+        reference = integrate_frame(CurveProfile.constant(kappa, tau), 0.0, 1.0, 0.01,
+                                    FrenetFrame.canonical())
+        scans, defects = [], frenet._frame_defects
+        monkeypatch.setattr(frenet, "_frame_defects", lambda f: scans.append(len(f)) or defects(f))
+        traj = integrate_frame(CurveProfile(kappa=kappa, tau=tau), 0.0, 1.0, 0.01,
+                               FrenetFrame.canonical())
+        assert sum(scans) == 100
+        np.testing.assert_array_equal(traj.frames, reference.frames)
+        np.testing.assert_array_equal(traj.defects, reference.defects)
 
     @staticmethod
     def _dense_steps_with(monkeypatch, matrix):

@@ -451,20 +451,11 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        cfg = _resolve(args)  # before mkdir, so an invalid flag leaves --out untouched
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         # removed before the run, so that a run that fails leaves no manifest
         (cfg.output_dir / "manifest.json").unlink(missing_ok=True)
-    except OSError as exc:
-        print(f"error: cannot prepare output directory {cfg.output_dir}: {exc}", file=sys.stderr)
-        return 3
-    try:
-        # The writers reject every non-finite output and name its file, column
-        # and row, so numpy's floating-point warnings would only repeat that.
+        # The writers reject every non-finite output and name it; numpy's warnings would repeat it
         with np.errstate(all="ignore"):
             _emit(cfg, *_RUNNERS[cfg.command](cfg))
     except ValueError as exc:
@@ -477,7 +468,3 @@ def main(argv=None) -> int:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,7 +22,7 @@ REGIME_FAST_CANDIDATE = "fast-candidate"
 REGIME_NON_DYNAMO_PLANAR = "non-dynamo-planar"
 REGIME_DEGENERATE = "degenerate"
 
-# classify_dynamo's slow verdict: |intercept| and max fit residual below these
+# classify_dynamo's slow verdict: |intercept| and max fit residual at most these times max|Re gamma|
 _INTERCEPT_TOL = 1e-10
 _RESIDUAL_TOL = 1e-8
 
@@ -219,11 +219,11 @@ def classify_dynamo(samples, tau: float) -> str:
 
     Zero torsion means a planar incompressible flow, hence non-dynamo-planar
     regardless of the samples.  Otherwise a linear fit gamma = s eta + g0
-    decides: |g0| < 1e-10 with max fit residual < 1e-8 is slow; an
-    extrapolated intercept above 1e-10 is fast-candidate; anything else
-    is degenerate (the samples do not support a verdict), and so is a sweep
-    whose fit matrix [eta, 1] has rank below 2 (etas a few ulps apart).
-    Complex rates are fitted through their real parts.
+    decides against S = max |Re gamma|, so that eta's units do not matter:
+    |g0| <= 1e-10 S with max fit residual <= 1e-8 S is slow; an intercept
+    above 1e-10 S is fast-candidate; anything else is degenerate (the samples
+    do not support a verdict), as is a fit matrix [eta, 1] of rank below 2
+    (etas a few ulps apart).  Complex rates are fitted through their real parts.
     """
     if tau == 0.0:
         return REGIME_NON_DYNAMO_PLANAR
@@ -242,8 +242,9 @@ def classify_dynamo(samples, tau: float) -> str:
     if rank < 2:
         return REGIME_DEGENERATE
     fit_residual = float(np.max(np.abs(slope * etas + intercept - gammas)))
-    if abs(intercept) < _INTERCEPT_TOL and fit_residual < _RESIDUAL_TOL:
+    scale = float(np.max(np.abs(gammas)))
+    if abs(intercept) <= _INTERCEPT_TOL * scale and fit_residual <= _RESIDUAL_TOL * scale:
         return REGIME_SLOW
-    if intercept > _INTERCEPT_TOL:
+    if intercept > _INTERCEPT_TOL * scale:
         return REGIME_FAST_CANDIDATE
     return REGIME_DEGENERATE

@@ -401,20 +401,23 @@ def twist_angle(theta_r: float, profile: CurveProfile, s: float) -> float:
     """Twist angle theta_R - integral of tau from 0 to s.
 
     Constant torsion integrates exactly; otherwise composite Simpson with at
-    least 101 nodes, the panel count growing so the panel width stays
-    at or below 1e-3.
+    least 101 nodes and panels at most 1e-3 wide.  A non-finite s, or one
+    needing over MAX_STEPS intervals, is rejected before anything is allocated.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if profile.tau_constant is not None:
         return theta_r - profile.tau_constant * s
     if s == 0.0:
         return theta_r
     intervals = max(_SIMPSON_MIN_NODES - 1, 2 * math.ceil(abs(s) / 2e-3))
+    if intervals > MAX_STEPS:
+        raise ValueError(f"s = {s!r} needs {intervals} intervals; at most {MAX_STEPS} are allowed")
     nodes = np.linspace(0.0, s, intervals + 1)
     values = np.array([profile.tau_at(u) for u in nodes])
     h = s / intervals
-    integral = (h / 3.0) * (
-        values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
-    )
+    integral = (h / 3.0) * (values[0] + values[-1] + 4.0 * values[1:-1:2].sum()
+                            + 2.0 * values[2:-1:2].sum())
     return theta_r - integral
 
 

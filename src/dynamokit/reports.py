@@ -109,6 +109,19 @@ def _csv_field(x, empty: str = "") -> str:
     return '"%s"' % x.replace('"', '""') if any(c in x for c in ',"\r\n') else x
 
 
+def _finite_columns(path: Path, kind: str, names, columns, place: str) -> list[np.ndarray]:
+    """Columns as arrays; the first non-finite number, in row order, raises ValueError naming it."""
+    values = [np.asarray(column) for column, _ in zip(columns, names, strict=True)]
+    finite = np.column_stack([np.isfinite(v) if v.dtype.kind in "iuf" else [
+        x is None or isinstance(x, str) or math.isfinite(x) for x in column]
+        for v, column in zip(values, columns)])
+    if not finite.all():
+        row, index = divmod(int(np.argmin(finite)), len(values))
+        raise ValueError(f"{Path(path).name}: {kind} {names[index]!r}, {place} {row + 1}: "
+                         f"cannot serialise non-finite value {float(columns[index][row])!r}")
+    return values
+
+
 def write_csv(path: Path, header, *columns) -> None:
     """Write equal-length columns under a header row, quoted as needed.
 
@@ -119,21 +132,14 @@ def write_csv(path: Path, header, *columns) -> None:
     are csv.writer's, without its module: one row template per table, with a
     FLOAT_FORMAT slot per numeric column and a %s slot, filled by _csv_field, per other.
     """
-    values = [np.asarray(column) for column, _ in zip(columns, header, strict=True)]
+    values = _finite_columns(path, "column", header, columns, "data row")
     numeric = [v.dtype.kind in "iuf" for v in values]
-    finite = np.column_stack([np.isfinite(v) if num else [
-        x is None or isinstance(x, str) or math.isfinite(x) for x in column]
-        for v, num, column in zip(values, numeric, columns)])
-    if not finite.all():
-        row, index = divmod(int(np.argmin(finite)), len(columns))
-        raise ValueError(f"{Path(path).name}: column {header[index]!r}, data row {row + 1}: "
-                         f"cannot serialise non-finite value {float(columns[index][row])!r}")
     # csv.writer quotes a row whose only field is empty, so that it is not a blank line
     empty = '""' if len(columns) == 1 else ""
     line = ",".join("%" + FLOAT_FORMAT if num else "%s" for num in numeric) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_csv_field(name, empty) for name in header) + "\r\n")
-        for start in range(0, len(finite), _CSV_BLOCK_ROWS):
+        for start in range(0, len(values[0]), _CSV_BLOCK_ROWS):
             stop = start + _CSV_BLOCK_ROWS
             cells = [v[start:stop].tolist() if num else
                      [_csv_field(x, empty) for x in np.asarray(column[start:stop], dtype=object)]
@@ -159,10 +165,12 @@ def _axis(values: np.ndarray) -> tuple[float, float, np.ndarray]:
 
 
 def write_svg_polyline(path: Path, xs, ys, *, title: str, x_label: str, y_label: str) -> None:
-    """Minimal static plot: an axes box, extreme-value tick labels, one polyline."""
+    """Minimal static plot: an axes box, extreme-value tick labels, one polyline.  Unequal or
+    empty series, and a non-finite value (named by series and point), raise ValueError."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equal-length, nonempty sequences")
+    _finite_columns(path, "series", (x_label, y_label), (xs, ys), "point")
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
     plot_w = _SVG_WIDTH - margin_left - margin_right
     plot_h = _SVG_HEIGHT - margin_top - margin_bottom

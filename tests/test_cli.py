@@ -168,6 +168,16 @@ class TestTubeCommand:
         assert capsys.readouterr().err.startswith("error: numerical overflow: ")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("formats", ["svg", "json,svg"])
+    def test_non_finite_plot_exits_2_without_outputs(self, tmp_path, capsys, formats):
+        # p(r) is -inf at r_min: the plot, like the table, cannot hold it
+        out = tmp_path / "x"
+        assert run("--command", "tube", "--m", "1e307", "--format", formats,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("error: tube_pressure.svg: series 'p(r)', point 1: "
+                                           "cannot serialise non-finite value -inf\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     @pytest.mark.parametrize("r_min,r_max", [("0.3", "0.30000000000000004"),
                                              ("0.1", "0.10000000000000002")])
@@ -286,6 +296,14 @@ class TestFilamentCommand:
         assert captured.err.startswith("error: eta sweep [1e+200, 2e+200, 3e+200]: ")
         assert "Warning" not in captured.err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e7, 1e8, 1e100])
+    def test_default_sweep_in_other_units_is_slow(self, tmp_path, scale):
+        etas = ",".join(repr(eta * scale) for eta in cli.PARAM_SCHEMAS["filament"]["eta"][1])
+        out = tmp_path / "x"
+        assert run("--command", "filament", "--out", str(out), "--format", "json",
+                   f"--eta={etas}") == 0
+        assert read_json(out / "filament_report.json")["results"]["verdict"] == "slow"
 
     def test_sweep_one_ulp_apart_is_degenerate_without_a_warning(self, tmp_path, capfd):
         out = tmp_path / "x"

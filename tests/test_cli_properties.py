@@ -228,6 +228,9 @@ class TestExtremeValues:
                                "v0": 1.0, "tau": 0.0, "gamma-ref": -1.0},
                   {"eta": "2.7616296315533052e-294", "kappa-prime": "2.405161389782022e-295"},
                   ["csv"]))  # eta / x underflows to 0: exit 2
+    @example(run=("tube", {"r-min": 1e-6, "r-max": 1.0, "nodes": 16, "spacing": "log",
+                           "m": 1.0, "omega0": 1.0, "rho0": 1.0, "kappa0": 1.0, "gamma": 0.0},
+                  {"m": "1e307"}, ["svg"]))  # p(r) = -inf at r_min: exit 2, not a nan plot
     @given(run=EXTREME_RUNS)
     def test_exit_code_and_outputs(self, run):
         command, ordinary, extreme, formats = run
@@ -257,6 +260,10 @@ class TestExtremeValues:
                     assert expected - written == {"filament_sweep.svg"}
                 else:
                     assert expected <= written
+                for name in written:
+                    if name.endswith(".svg"):
+                        body = (out / name).read_text(encoding="utf-8")
+                        assert "nan" not in body and "inf" not in body, name
 
 
 def _up(x: float, k: int) -> float:

@@ -253,6 +253,14 @@ class TestClassifyDynamo:
         samples = [(eta, complex(0.3 * eta, 0.1)) for eta in (0.1, 0.2, 0.5, 1.0)]
         assert classify_dynamo(samples, tau=1.0) == REGIME_SLOW
 
+    def test_intercept_tiny_in_absolute_terms_is_fast_at_the_sweep_scale(self):
+        # g0 = 1e-101 is 2% of the largest rate, 5.1e-101: a fast candidate in any units
+        samples = [(e * 1e-100, 1e-101 + 0.5 * e * 1e-100) for e in (0.1, 0.2, 0.5, 1.0)]
+        assert classify_dynamo(samples, tau=1.0) == REGIME_FAST_CANDIDATE
+
+    def test_all_zero_sweep_is_slow(self):
+        assert classify_dynamo([(eta, 0.0) for eta in (0.1, 0.2, 0.5)], tau=1.0) == REGIME_SLOW
+
 
 class TestSweepRangeCheck:
     """classify_dynamo fits only a sweep whose sum of eta^2 is positive and finite

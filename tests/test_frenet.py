@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -621,6 +622,20 @@ class TestTwistAngle:
         first = twist_angle(0.0, profile, s1)
         increment = twist_angle(0.0, shifted, s2 - s1)
         assert first + increment == pytest.approx(total, abs=1e-10)
+
+    @pytest.mark.parametrize("s, message", [
+        (math.nan, "s must be finite, got nan"),
+        (math.inf, "s must be finite, got inf"),
+        (1e6, "s = 1000000.0 needs 1000000000 intervals; at most 10000000 are allowed"),
+    ])
+    def test_rejects_a_span_it_cannot_finish_before_allocating(self, monkeypatch, s, message):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        profile = CurveProfile(kappa=1.0, tau=lambda u: 1.0 + u)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            twist_angle(0.0, profile, s)
 
 
 class TestStretchFactor:

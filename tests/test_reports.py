@@ -204,6 +204,17 @@ class TestWriters:
         with pytest.raises(ValueError):
             write_svg_polyline(tmp_path / "x.svg", [], [], title="t", x_label="x", y_label="y")
 
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0], "series 'Y', point 2: .* nan"),
+        ([0.0, math.inf, 2.0], [1.0, 2.0, -math.inf], "series 'X', point 2: .* inf"),
+        ([0.0, 1.0], [-math.inf, 1.0], "series 'Y', point 1: .* -inf"),
+    ])
+    def test_svg_rejects_non_finite_values_naming_the_first(self, tmp_path, xs, ys, message):
+        path = tmp_path / "p.svg"
+        with pytest.raises(ValueError, match=rf"^p\.svg: {message}$"):
+            write_svg_polyline(path, xs, ys, title="t", x_label="X", y_label="Y")
+        assert not path.exists()
+
     @pytest.mark.parametrize("xs, ys", [
         ([0.0, 1.0], [2.3937588257735736e96, 2.3937588257735736e96]),  # constant, 0.5 is lost
         ([0.0, 1.0], [1.7e308, 1.7e308]),  # constant, next to the largest float

@@ -21,8 +21,6 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .reports import format_float, write_csv, write_json, write_svg_polyline
 
@@ -285,7 +283,7 @@ def run_map_report(cfg: RunConfig) -> tuple:
     orbit = maps.iterate_orbit(
         torus_map, maps.TorusPoint(p["orbit-x"], p["orbit-y"]), p["orbit-steps"]
     )
-    matrix = torus_map.matrix.tolist()
+    matrix = [[torus_map.a, torus_map.b], [torus_map.c, torus_map.d]]
     eigen = classification.eigenvalues
     results = {
         "map": name,
@@ -318,36 +316,38 @@ def run_map_report(cfg: RunConfig) -> tuple:
 
 
 def run_tube_report(cfg: RunConfig) -> tuple:
+    import numpy as np
     from . import tube
     p = cfg.parameters
-    grid = tube.RadialGrid(p["r-min"], p["r-max"], p["nodes"], p["spacing"])
-    field = tube.TubeFlowField.eigen_ansatz(
-        grid, p["m"], omega0=p["omega0"], rho0=p["rho0"], kappa0=p["kappa0"], gamma=p["gamma"]
-    )
-    r = grid.nodes
-    pressure = tube.pressure_profile(r, field)
-    alpha = tube.alpha_effect(r, field.m, field.kappa0, field.v_s)
-    residual_p = tube.poloidal_residual(field, grid)
-    residual_t = tube.toroidal_residual(field, grid)
-    blowup_radii = [10.0 ** (-k) for k in range(1, 7)]
-    verdict = tube.pressure_blowup_check(field, blowup_radii)
-    results = {
-        "grid": {"r_min": grid.r_min, "r_max": grid.r_max, "count": grid.count,
-                 "spacing": grid.spacing},
-        "field": {"m": field.m, "omega0": field.omega0, "rho0": field.rho0,
-                  "kappa0": field.kappa0, "gamma": field.gamma},
-        "eigenproblems": tube.eigenvalue_discrepancy_report(),
-        "alpha_discrepancy": tube.alpha_effect_discrepancy(),
-        "pressure_blowup": {"radii": blowup_radii, "verdict": verdict},
-        "pressure_at_r_max": float(pressure[-1]),
-    }
-    csv_specs = [
-        ("profiles",
-         ["r", "v_s", "v_theta", "p", "alpha", "residual_poloidal", "residual_toroidal"],
-         (r, field.v_s, field.v_theta, pressure, alpha, residual_p, residual_t)),
-    ]
-    svg_specs = [("pressure", r, pressure, "pressure profile", "r", "p(r)")]
-    return "report", results, csv_specs, svg_specs, None
+    with np.errstate(all="ignore"):  # each writer names a non-finite output, so no warnings
+        grid = tube.RadialGrid(p["r-min"], p["r-max"], p["nodes"], p["spacing"])
+        field = tube.TubeFlowField.eigen_ansatz(
+            grid, p["m"], omega0=p["omega0"], rho0=p["rho0"], kappa0=p["kappa0"], gamma=p["gamma"]
+        )
+        r = grid.nodes
+        pressure = tube.pressure_profile(r, field)
+        alpha = tube.alpha_effect(r, field.m, field.kappa0, field.v_s)
+        residual_p = tube.poloidal_residual(field, grid)
+        residual_t = tube.toroidal_residual(field, grid)
+        blowup_radii = [10.0 ** (-k) for k in range(1, 7)]
+        verdict = tube.pressure_blowup_check(field, blowup_radii)
+        results = {
+            "grid": {"r_min": grid.r_min, "r_max": grid.r_max, "count": grid.count,
+                     "spacing": grid.spacing},
+            "field": {"m": field.m, "omega0": field.omega0, "rho0": field.rho0,
+                      "kappa0": field.kappa0, "gamma": field.gamma},
+            "eigenproblems": tube.eigenvalue_discrepancy_report(),
+            "alpha_discrepancy": tube.alpha_effect_discrepancy(),
+            "pressure_blowup": {"radii": blowup_radii, "verdict": verdict},
+            "pressure_at_r_max": float(pressure[-1]),
+        }
+        csv_specs = [
+            ("profiles",
+             ["r", "v_s", "v_theta", "p", "alpha", "residual_poloidal", "residual_toroidal"],
+             (r, field.v_s, field.v_theta, pressure, alpha, residual_p, residual_t)),
+        ]
+        svg_specs = [("pressure", r, pressure, "pressure profile", "r", "p(r)")]
+        return "report", results, csv_specs, svg_specs, None
 
 
 def run_filament_sweep(cfg: RunConfig) -> tuple:
@@ -373,7 +373,7 @@ def run_filament_sweep(cfg: RunConfig) -> tuple:
     induction = filament.build_filament_matrix(params)
     results = {
         "coefficients": {"A": coef_a, "B": coef_b, "C": coef_c},
-        "matrix_at_first_eta": [list(row) for row in induction.matrix.tolist()],
+        "matrix_at_first_eta": [[induction.m11, 0.0], [0.0, induction.m22]],
         "m33_at_first_eta": induction.m33,
         "tau": tau,
         "verdict": verdict,
@@ -397,6 +397,7 @@ def run_filament_sweep(cfg: RunConfig) -> tuple:
 
 
 def run_frenet(cfg: RunConfig) -> tuple:
+    import numpy as np
     from . import frenet
     p = cfg.parameters
     span = p["s-end"] - p["s-start"]
@@ -414,11 +415,12 @@ def run_frenet(cfg: RunConfig) -> tuple:
         raise InputError(f"--step {p['step']!r} from --s-start {p['s-start']!r} to --s-end "
                          f"{p['s-end']!r} asks for {requested:.10g} steps; at most "
                          f"{MAX_TABLE_ROWS} are allowed")
-    profile = frenet.CurveProfile.constant(p["kappa0"], p["tau0"])
-    trajectory = frenet.integrate_frame(
-        profile, p["s-start"], p["s-end"], p["step"], frenet.FrenetFrame.canonical()
-    )
-    rotation = frenet.accumulated_rotation_angle(trajectory)
+    with np.errstate(all="ignore"):  # as in run_tube_report
+        profile = frenet.CurveProfile.constant(p["kappa0"], p["tau0"])
+        trajectory = frenet.integrate_frame(
+            profile, p["s-start"], p["s-end"], p["step"], frenet.FrenetFrame.canonical()
+        )
+        rotation = frenet.accumulated_rotation_angle(trajectory)
     results = {
         "samples": len(trajectory.arclengths),
         "max_defect": trajectory.max_defect,
@@ -455,9 +457,7 @@ def main(argv=None) -> int:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         # removed before the run, so that a run that fails leaves no manifest
         (cfg.output_dir / "manifest.json").unlink(missing_ok=True)
-        # The writers reject every non-finite output and name it; numpy's warnings would repeat it
-        with np.errstate(all="ignore"):
-            _emit(cfg, *_RUNNERS[cfg.command](cfg))
+        _emit(cfg, *_RUNNERS[cfg.command](cfg))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .maps import _quadratic_roots
 
 REGIME_SLOW = "slow"
@@ -94,10 +92,19 @@ class FilamentParams:
 
 @dataclass(frozen=True)
 class FilamentMatrix:
-    """Induction matrix at the reference rate, with the torsion entry kept separate."""
+    """Induction matrix diag(m11, m22) at the reference rate; the torsion entry m33 kept apart."""
 
-    matrix: np.ndarray
+    m11: float
+    m22: float
     m33: float
+
+    @property
+    def matrix(self):
+        """The 2x2 block as a read-only ndarray; numpy loads with the first call."""
+        import numpy as np
+        matrix = np.array([[self.m11, 0.0], [0.0, self.m22]])
+        matrix.setflags(write=False)
+        return matrix
 
 
 def filament_line_element(k0: float, ds: float) -> float:
@@ -107,14 +114,15 @@ def filament_line_element(k0: float, ds: float) -> float:
     return k0 * k0 * ds * ds
 
 
-def filament_gradient(f, k0: float, s) -> np.ndarray:
-    """Tangential gradient component K0^-1 df/ds on samples along the filament.
+def filament_gradient(f, k0: float, s):
+    """Tangential gradient component K0^-1 df/ds, an ndarray, on samples along the filament.
 
     s is the node array (or the uniform spacing); derivatives are central
     differences with second-order one-sided stencils at the ends.
     """
     if k0 <= 0.0:
         raise ValueError("stretch factor k0 must be positive")
+    import numpy as np
     f = np.asarray(f, dtype=float)
     if f.size < 3:
         raise ValueError("need at least 3 samples")
@@ -129,14 +137,8 @@ def build_filament_matrix(params: FilamentParams) -> FilamentMatrix:
     """
     x = params.eta / params.gamma_ref
     prefactor = -params.gamma_ref / (params.k0 * params.k0)
-    matrix = np.array(
-        [
-            [prefactor * (1.0 + x * params.A), 0.0],
-            [0.0, prefactor * (x * params.B + params.C)],
-        ]
-    )
-    matrix.setflags(write=False)
-    return FilamentMatrix(matrix, x * params.tau * params.k0)
+    return FilamentMatrix(prefactor * (1.0 + x * params.A), prefactor * (x * params.B + params.C),
+                          x * params.tau * params.k0)
 
 
 def determinant_condition_residual(x, a, b, c):
@@ -218,31 +220,36 @@ def classify_dynamo(samples, tau: float) -> str:
     """Label a gamma(eta) sweep: planar rule first, then the eta -> 0 intercept.
 
     Zero torsion means a planar incompressible flow, hence non-dynamo-planar
-    regardless of the samples.  Otherwise a linear fit gamma = s eta + g0
-    decides against S = max |Re gamma|, so that eta's units do not matter:
-    |g0| <= 1e-10 S with max fit residual <= 1e-8 S is slow; an intercept
-    above 1e-10 S is fast-candidate; anything else is degenerate (the samples
-    do not support a verdict), as is a fit matrix [eta, 1] of rank below 2
-    (etas a few ulps apart).  Complex rates are fitted through their real parts.
+    regardless of the samples.  Otherwise a linear fit gamma = s eta + g0 from
+    centred sums decides against S = max |Re gamma|, so that eta's units do not
+    matter: |g0| <= 1e-10 S with max fit residual <= 1e-8 S is slow; an intercept
+    above 1e-10 S is fast-candidate; anything else is degenerate (the samples do
+    not support a verdict), as is a sweep too narrow to identify an intercept:
+    sqrt(Sxx / sum eta^2) / (1 + |c|) <= n eps, Sxx the centred sum of squares and
+    c = sum eta / sqrt(n sum eta^2), i.e. sigma_min / sigma_max of [eta, 1] with unit
+    columns at np.polyfit's rank cutoff.  Complex rates are fitted through their real parts.
     """
     if tau == 0.0:
         return REGIME_NON_DYNAMO_PLANAR
     pairs = [(float(eta), complex(gamma).real) for eta, gamma in samples]
-    etas = np.array([eta for eta, _ in pairs])
-    gammas = np.array([gamma for _, gamma in pairs])
-    if len({eta for eta, _ in pairs}) < 3:  # a set, as cli.run_filament_sweep counts them
+    etas, gammas = [eta for eta, _ in pairs], [gamma for _, gamma in pairs]
+    if len(set(etas)) < 3:  # a set, as cli.run_filament_sweep counts them
         raise ValueError("need at least 3 samples with distinct eta")
-    # polyfit divides the eta column by its norm, so the norm must be positive and finite
-    with np.errstate(over="ignore"):
-        sum_sq = float((etas * etas).sum())
-    if not (0.0 < sum_sq < math.inf and np.isfinite(gammas).all()):
-        raise ValueError(f"eta sweep {etas.tolist()}: sum of eta^2 = {sum_sq!r} and growth rates "
-                         f"{gammas.tolist()}; the fit needs a positive finite sum and finite rates")
-    (slope, intercept), _, rank, *_ = np.polyfit(etas, gammas, 1, full=True)
-    if rank < 2:
+    # the spread below is relative to the sum of eta^2, so it must be positive and finite
+    sum_sq = sum(eta * eta for eta in etas)
+    if not (0.0 < sum_sq < math.inf and all(map(math.isfinite, gammas))):
+        raise ValueError(f"eta sweep {etas}: sum of eta^2 = {sum_sq!r} and growth rates "
+                         f"{gammas}; the fit needs a positive finite sum and finite rates")
+    n, sum_eta = len(pairs), sum(etas)
+    mean_eta, mean_gamma = sum_eta / n, sum(gammas) / n
+    deviations = [eta - mean_eta for eta in etas]
+    sxx = sum(d * d for d in deviations)
+    if math.sqrt(sxx / sum_sq) / (1.0 + abs(sum_eta) / math.sqrt(n * sum_sq)) <= n * math.ulp(1.0):
         return REGIME_DEGENERATE
-    fit_residual = float(np.max(np.abs(slope * etas + intercept - gammas)))
-    scale = float(np.max(np.abs(gammas)))
+    slope = sum(d * (gamma - mean_gamma) for d, gamma in zip(deviations, gammas)) / sxx
+    intercept = mean_gamma - slope * mean_eta
+    fit_residual = max(abs(slope * eta + intercept - gamma) for eta, gamma in pairs)
+    scale = max(map(abs, gammas))
     if abs(intercept) <= _INTERCEPT_TOL * scale and fit_residual <= _RESIDUAL_TOL * scale:
         return REGIME_SLOW
     if intercept > _INTERCEPT_TOL * scale:

@@ -414,7 +414,7 @@ def twist_angle(theta_r: float, profile: CurveProfile, s: float) -> float:
     if intervals > MAX_STEPS:
         raise ValueError(f"s = {s!r} needs {intervals} intervals; at most {MAX_STEPS} are allowed")
     nodes = np.linspace(0.0, s, intervals + 1)
-    values = np.array([profile.tau_at(u) for u in nodes])
+    values = np.fromiter(map(profile.tau_at, map(float, nodes)), float, len(nodes))
     h = s / intervals
     integral = (h / 3.0) * (values[0] + values[-1] + 4.0 * values[1:-1:2].sum()
                             + 2.0 * values[2:-1:2].sum())

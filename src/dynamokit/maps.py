@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
 # |trace| within this distance of 2 classifies as parabolic, so the twist map
 # lands on the boundary despite float noise.
 PARABOLIC_TOL = 1e-12
@@ -69,7 +67,8 @@ class LinearTorusMap:
                 raise ValueError(f"matrix entry {name} must be finite, got {value!r}")
 
     @property
-    def matrix(self) -> np.ndarray:
+    def matrix(self):  # a float ndarray; numpy loads with the first call
+        import numpy as np
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
 
     @property

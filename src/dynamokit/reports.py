@@ -1,10 +1,10 @@
 """Deterministic CSV/JSON/SVG writers shared by the command-line reports.
 
-Floating-point values serialise with 17 significant digits so every value
-round-trips exactly and identical runs produce byte-identical files.  The
-SVG emitter is a minimal polyline-plus-axes plotter with no plotting
-dependency; the numbers in CSV/JSON are the contract, the plots are a
-convenience.
+Floating-point values serialise with 17 significant digits so every value round-trips
+exactly and identical runs produce byte-identical files.  The SVG emitter is a minimal
+polyline-plus-axes plotter with no plotting dependency; the numbers in CSV/JSON are the
+contract, the plots are a convenience.  A list, tuple or range is written with the standard
+library alone, a numpy array with vectorised checks: the same bytes and errors either way.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii  # json.dumps(str), minus its set-up per call
 from pathlib import Path
-
-import numpy as np
 
 FLOAT_FORMAT = ".17g"
 # write_csv formats this many rows at once, so a long table never holds all its cells
@@ -109,17 +107,34 @@ def _csv_field(x, empty: str = "") -> str:
     return '"%s"' % x.replace('"', '""') if any(c in x for c in ',"\r\n') else x
 
 
-def _finite_columns(path: Path, kind: str, names, columns, place: str) -> list[np.ndarray]:
-    """Columns as arrays; the first non-finite number, in row order, raises ValueError naming it."""
-    values = [np.asarray(column) for column, _ in zip(columns, names, strict=True)]
-    finite = np.column_stack([np.isfinite(v) if v.dtype.kind in "iuf" else [
-        x is None or isinstance(x, str) or math.isfinite(x) for x in column]
-        for v, column in zip(values, columns)])
-    if not finite.all():
-        row, index = divmod(int(np.argmin(finite)), len(values))
+def _scan(column) -> tuple[int, bool]:
+    """The row of the column's first non-finite number (its length if none) and whether it holds
+    only numbers.  An int or float array takes one vectorised pass; cells may be None or str."""
+    if hasattr(column, "dtype") and column.dtype.kind in "iuf":
+        import numpy as np
+        finite = np.isfinite(column)
+        return (len(column) if finite.all() else int(finite.argmin())), True
+    try:
+        if all(map(math.isfinite, column)):
+            return len(column), True
+    except TypeError:  # a None or a string
+        pass
+    return next((row for row, x in enumerate(column)
+                 if not (x is None or isinstance(x, str) or math.isfinite(x))), len(column)), False
+
+
+def _checked(path: Path, kind: str, names, columns, place: str) -> list[bool]:
+    """Each column's numbers-only flag.  Unequal columns, a name count that does not match
+    them and a non-finite number raise ValueError; the last names the first in row order."""
+    lengths = [len(column) for column in columns]
+    if len(names) != len(columns) or len(set(lengths)) != 1:
+        raise ValueError(f"{Path(path).name}: {len(names)} names for {kind}s of lengths {lengths}")
+    scans = [_scan(column) for column in columns]
+    row, index = min((row, index) for index, (row, _) in enumerate(scans))
+    if row < lengths[0]:
         raise ValueError(f"{Path(path).name}: {kind} {names[index]!r}, {place} {row + 1}: "
                          f"cannot serialise non-finite value {float(columns[index][row])!r}")
-    return values
+    return [numeric for _, numeric in scans]
 
 
 def write_csv(path: Path, header, *columns) -> None:
@@ -130,54 +145,53 @@ def write_csv(path: Path, header, *columns) -> None:
     non-finite value raise ValueError before the file opens; the last names
     the file, column and data row of the first one in row order.  The bytes
     are csv.writer's, without its module: one row template per table, with a
-    FLOAT_FORMAT slot per numeric column and a %s slot, filled by _csv_field, per other.
+    FLOAT_FORMAT slot per numbers-only column and a %s slot, filled by _csv_field, per other.
     """
-    values = _finite_columns(path, "column", header, columns, "data row")
-    numeric = [v.dtype.kind in "iuf" for v in values]
+    numeric = _checked(path, "column", header, columns, "data row")
     # csv.writer quotes a row whose only field is empty, so that it is not a blank line
     empty = '""' if len(columns) == 1 else ""
     line = ",".join("%" + FLOAT_FORMAT if num else "%s" for num in numeric) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_csv_field(name, empty) for name in header) + "\r\n")
-        for start in range(0, len(values[0]), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            cells = [v[start:stop].tolist() if num else
-                     [_csv_field(x, empty) for x in np.asarray(column[start:stop], dtype=object)]
-                     for v, num, column in zip(values, numeric, columns)]
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            blocks = [column[start:start + _CSV_BLOCK_ROWS] for column in columns]
+            cells = [(block.tolist() if hasattr(block, "tolist") else block) if num else
+                     [_csv_field(x, empty) for x in block] for block, num in zip(blocks, numeric)]
             fh.write("".join(line % row for row in zip(*cells)))
 
 
-def _axis(values: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """The two end labels of an axis and how far along it each value lies, in [0, 1].
+def _axis(values, place) -> tuple[float, float, list[float]]:
+    """The two end labels of an axis and each value's position, place(f) at fraction f of it.
 
-    A constant series lies mid-axis, between labels half its magnitude (at
-    least 0.5) either side.  Fractions are taken on halved values, so that
-    no span of finite values overflows.
+    A series whose halved values are all equal lies mid-axis, between labels
+    half its magnitude (at least 0.5) either side.  Fractions are taken on
+    halved values, so that no span of finite values overflows.
     """
-    listed = values.tolist()
+    listed = values.tolist() if hasattr(values, "tolist") else values
     lo, hi = min(listed), max(listed)
-    if hi == lo:
+    del listed  # an array's float list goes before its positions are made
+    span = hi / 2 - lo / 2
+    if span == 0.0:
         pad = 0.5 * max(1.0, abs(lo))
         lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
-        return lo, hi, np.full(len(values), 0.5)
-    span = hi / 2 - lo / 2
-    return lo, hi, (values / 2 - lo / 2) / span
+        return lo, hi, [place(0.5)] * len(values)
+    at = lambda v: place((v / 2 - lo / 2) / span)  # noqa: E731 - on an array or a float
+    return lo, hi, at(values).tolist() if hasattr(values, "tolist") else list(map(at, values))
 
 
 def write_svg_polyline(path: Path, xs, ys, *, title: str, x_label: str, y_label: str) -> None:
     """Minimal static plot: an axes box, extreme-value tick labels, one polyline.  Unequal or
     empty series, and a non-finite value (named by series and point), raise ValueError."""
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    xs, ys = (v.astype(float, copy=False) if hasattr(v, "tolist") else [float(x) for x in v]
+              for v in (xs, ys))
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equal-length, nonempty sequences")
-    _finite_columns(path, "series", (x_label, y_label), (xs, ys), "point")
+    _checked(path, "series", (x_label, y_label), (xs, ys), "point")
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
     plot_w = _SVG_WIDTH - margin_left - margin_right
     plot_h = _SVG_HEIGHT - margin_top - margin_bottom
-    x_min, x_max, x_frac = _axis(xs)
-    y_min, y_max, y_frac = _axis(ys)
-    px = (margin_left + x_frac * plot_w).tolist()
-    py = (margin_top + (1.0 - y_frac) * plot_h).tolist()
+    x_min, x_max, px = _axis(xs, lambda f: margin_left + f * plot_w)
+    y_min, y_max, py = _axis(ys, lambda f: margin_top + (1.0 - f) * plot_h)
     points = " ".join(map("%.6g,%.6g".__mod__, zip(px, py)))
     x0, x1 = margin_left, margin_left + plot_w
     y0, y1 = margin_top, margin_top + plot_h

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynamokit.filament import (
     REGIME_DEGENERATE,
@@ -332,3 +334,64 @@ class TestDistinctEtaCount:
             classify_dynamo([(eta, 0.5) for eta in (0.1, nan, nan)], tau=1.0)
         with pytest.raises(ValueError, match=r"^eta sweep \[0.1, 0.2, 0.3, nan\]"):
             classify_dynamo([(eta, 0.5) for eta in (0.1, 0.2, 0.3, nan)], tau=1.0)
+
+
+def _polyfit_verdict(samples) -> str:
+    """classify_dynamo's rule at tau != 0 on a np.polyfit(..., full=True) fit: the reference."""
+    etas = np.array([float(eta) for eta, _ in samples])
+    gammas = np.array([complex(gamma).real for _, gamma in samples])
+    (slope, intercept), _, rank, *_ = np.polyfit(etas, gammas, 1, full=True)
+    if rank < 2:
+        return REGIME_DEGENERATE
+    residual = float(np.max(np.abs(slope * etas + intercept - gammas)))
+    scale = float(np.max(np.abs(gammas)))
+    if abs(intercept) <= 1e-10 * scale and residual <= 1e-8 * scale:
+        return REGIME_SLOW
+    return REGIME_FAST_CANDIDATE if intercept > 1e-10 * scale else REGIME_DEGENERATE
+
+
+@st.composite
+def _line_sweeps(draw):
+    """3-12 distinct etas from 1e-100 to 1e100, on gamma = s eta + g0 far from every threshold.
+
+    The etas are either integer multiples k <= 1000 of one power of ten, a relative spread of
+    at least 1e-3, or distinct powers of ten.  g0 is 0 (an exact line through 0), or at least
+    1e-6 of max |s eta|, against the intercept threshold 1e-10.
+    """
+    count = draw(st.integers(3, 12))
+    if draw(st.booleans()):
+        scale = 10.0 ** draw(st.integers(-100, 97))
+        etas = [k * scale for k in draw(st.lists(st.integers(1, 1000), min_size=count,
+                                                 max_size=count, unique=True))]
+    else:
+        etas = [10.0 ** p for p in draw(st.lists(st.integers(-100, 100), min_size=count,
+                                                 max_size=count, unique=True))]
+    slope = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    size = max(abs(slope * eta) for eta in etas)
+    intercept = draw(st.sampled_from([0.0, -1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, 3.0)) * size
+    return [(eta, slope * eta + intercept) for eta in etas]
+
+
+# the CLI's default sweep and its growth rates at the default coefficients A, B, C = 1, 1, -1
+_DEFAULT_ETAS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+
+
+class TestClosedFormFitMatchesPolyfit:
+    """classify_dynamo's closed-form fit and spread rule give np.polyfit's verdicts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=_line_sweeps())
+    def test_same_verdict(self, samples):
+        assert classify_dynamo(samples, tau=1.0) == _polyfit_verdict(samples)
+
+    @pytest.mark.parametrize("etas, verdict", [
+        ([1.0, 1.0000000000000002, 1.0000000000000004], REGIME_DEGENERATE),
+        ([eta * 1e-100 for eta in _DEFAULT_ETAS], REGIME_SLOW),
+        ([eta * 1e7 for eta in _DEFAULT_ETAS], REGIME_SLOW),
+        ([eta * 1e100 for eta in _DEFAULT_ETAS], REGIME_SLOW),
+    ], ids=["ulp-spaced", "default-1e-100", "default-1e7", "default-1e100"])
+    def test_explicit_sweeps(self, etas, verdict):
+        samples = [(eta, solve_growth_rate(eta, 1.0, 1.0, -1.0).roots[0]) for eta in etas]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify_dynamo(samples, tau=1.0) == _polyfit_verdict(samples) == verdict

@@ -104,6 +104,22 @@ def test_each_command_loads_only_its_own_kernel(command, tmp_path):
     assert no_ma, "the run imported numpy.ma, which numpy itself does not"
 
 
+@pytest.mark.parametrize("command", ["map", "filament"])
+def test_map_and_filament_run_without_numpy(command, tmp_path):
+    # both compute on Python floats and write through the standard library alone
+    run = ("from dynamokit.cli import main\n"
+           "print(main(['--command', sys.argv[1], '--out', sys.argv[2]]))\n")
+    loaded = _fresh_python(f"import sys\n{run}print('numpy' in sys.modules)\n",
+                           command, str(tmp_path / "free"))
+    assert loaded.split() == ["0", "False"]
+    # a None entry makes every later `import numpy` raise ImportError
+    blocked = _fresh_python(f"import sys\nsys.modules['numpy'] = None\n{run}",
+                            command, str(tmp_path / "blocked"))
+    assert blocked.split() == ["0"]
+    assert sorted(path.name for path in (tmp_path / "blocked").iterdir()) \
+        == sorted(path.name for path in (tmp_path / "free").iterdir())
+
+
 def test_bare_import_loads_no_kernel_and_no_numpy():
     script = (
         "import sys\n"

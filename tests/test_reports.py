@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynamokit.cli import MAX_TABLE_ROWS
@@ -229,3 +229,54 @@ class TestWriters:
         for point in points:
             px, py = map(float, point.split(","))
             assert 70 <= px <= 620 and 40 <= py <= 390
+
+
+# floats with the non-finite values a column may carry, drawn now and then
+_ANY_FLOATS = _FLOATS | st.floats()
+
+
+def _outcome(directory, write):
+    """The bytes write(path) leaves in directory, or its ValueError text, which leaves no file."""
+    path = directory / "out"
+    try:
+        write(path)
+    except ValueError as exc:
+        assert not path.exists()
+        return str(exc)
+    return path.read_bytes()
+
+
+class TestListsAndArraysAgree:
+    """A float column or series given as a list and as np.array writes the same bytes, or
+    raises the same ValueError: lists take the standard-library path, arrays numpy's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_csv(self, tmp_path_factory, data):
+        rows = data.draw(st.integers(0, 12))
+        columns = data.draw(st.lists(st.lists(_ANY_FLOATS, min_size=rows, max_size=rows),
+                                     min_size=1, max_size=4))
+        as_array = data.draw(st.lists(st.booleans(), min_size=len(columns),
+                                      max_size=len(columns)))
+        header = [f"c{index}" for index in range(len(columns))]
+        arrays = [np.array(column) for column in columns]
+        mixed = [array if chosen else column
+                 for column, array, chosen in zip(columns, arrays, as_array)]
+        outcomes = [_outcome(tmp_path_factory.mktemp("csv"),
+                             lambda path: write_csv(path, header, *table))
+                    for table in (columns, arrays, mixed)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(series=st.integers(1, 12).flatmap(
+        lambda points: st.tuples(*[st.lists(_ANY_FLOATS, min_size=points, max_size=points)] * 2)))
+    @example(series=([0.0, 5e-324], [1.0, 1.0]))  # halved, the x span rounds to 0
+    def test_svg(self, tmp_path_factory, series):
+        xs, ys = series
+        outcomes = [_outcome(tmp_path_factory.mktemp("svg"), lambda path: write_svg_polyline(
+                        path, x, y, title="t", x_label="X", y_label="Y"))
+                    for x, y in [(xs, ys), (np.array(xs), np.array(ys)),
+                                 (np.array(xs), ys), (xs, np.array(ys))]]
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        if isinstance(outcomes[0], bytes):
+            assert b"nan" not in outcomes[0] and b"inf" not in outcomes[0]

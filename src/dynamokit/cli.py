@@ -180,10 +180,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if "\0" in out:
         raise InputError("--out must not contain a NUL character")
     format_spec = merged.pop("format", "csv,json,svg")
-    formats = tuple(token.strip() for token in format_spec.split(",") if token.strip())
-    if not formats:
+    tokens = [token.strip() for token in format_spec.split(",") if token.strip()]
+    if not tokens:
         raise InputError("--format must name at least one of csv,json,svg")
-    for fmt in formats:
+    for fmt in tokens:
         if fmt not in _FORMATS:
             raise InputError(f"unknown format {fmt!r} (expected subset of csv,json,svg)")
 
@@ -204,7 +204,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise InputError(f"--{key} must be finite, got {parameters[key]!r}")
         if key in _TABLE_FLAGS and parameters[key] > MAX_TABLE_ROWS:
             raise InputError(f"--{key} must be at most {MAX_TABLE_ROWS}, got {parameters[key]}")
-    return RunConfig(command, parameters, Path(out), formats)
+    # each format once, in csv,json,svg order, so equal runs write equal manifests
+    return RunConfig(command, parameters, Path(out), tuple(f for f in _FORMATS if f in tokens))
 
 
 def _canonical(value) -> str:
@@ -278,7 +279,7 @@ def run_map_report(cfg: RunConfig) -> tuple:
     classification = maps.classify(torus_map)
     seed = maps.FieldVector(p["seed-u"], p["seed-v"])
 
-    time_average, per_step = zip(*maps._growth_table(torus_map, seed, p["growth-steps"]))
+    time_average, per_step = maps._growth_table(torus_map, seed, p["growth-steps"])
     steps = range(1, len(time_average) + 1)
     orbit = maps.iterate_orbit(
         torus_map, maps.TorusPoint(p["orbit-x"], p["orbit-y"]), p["orbit-steps"]

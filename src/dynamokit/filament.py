@@ -235,18 +235,20 @@ def classify_dynamo(samples, tau: float) -> str:
     etas, gammas = [eta for eta, _ in pairs], [gamma for _, gamma in pairs]
     if len(set(etas)) < 3:  # a set, as cli.run_filament_sweep counts them
         raise ValueError("need at least 3 samples with distinct eta")
+    n, sum_sq, sum_eta, sum_gamma = len(pairs), 0.0, 0.0, 0.0
+    for eta, gamma in pairs:  # each fit sum adds left to right: sum() compensates from 3.12 on
+        sum_sq, sum_eta, sum_gamma = sum_sq + eta * eta, sum_eta + eta, sum_gamma + gamma
     # the spread below is relative to the sum of eta^2, so it must be positive and finite
-    sum_sq = sum(eta * eta for eta in etas)
     if not (0.0 < sum_sq < math.inf and all(map(math.isfinite, gammas))):
         raise ValueError(f"eta sweep {etas}: sum of eta^2 = {sum_sq!r} and growth rates "
                          f"{gammas}; the fit needs a positive finite sum and finite rates")
-    n, sum_eta = len(pairs), sum(etas)
-    mean_eta, mean_gamma = sum_eta / n, sum(gammas) / n
-    deviations = [eta - mean_eta for eta in etas]
-    sxx = sum(d * d for d in deviations)
+    mean_eta, mean_gamma, sxx, sxy = sum_eta / n, sum_gamma / n, 0.0, 0.0
+    for eta, gamma in pairs:
+        d = eta - mean_eta
+        sxx, sxy = sxx + d * d, sxy + d * (gamma - mean_gamma)
     if math.sqrt(sxx / sum_sq) / (1.0 + abs(sum_eta) / math.sqrt(n * sum_sq)) <= n * math.ulp(1.0):
         return REGIME_DEGENERATE
-    slope = sum(d * (gamma - mean_gamma) for d, gamma in zip(deviations, gammas)) / sxx
+    slope = sxy / sxx
     intercept = mean_gamma - slope * mean_eta
     fit_residual = max(abs(slope * eta + intercept - gamma) for eta, gamma in pairs)
     scale = max(map(abs, gammas))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 # |trace| within this distance of 2 classifies as parabolic, so the twist map
 # lands on the boundary despite float noise.
@@ -94,7 +93,7 @@ class MapClassification:
     trace: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusPoint:
     """Point on the unit torus; coordinates are reduced mod 1 into [0, 1)."""
 
@@ -205,34 +204,29 @@ def transport_field(m: LinearTorusMap, f: FieldVector, n: int) -> FieldVector:
     return FieldVector(u, v)
 
 
-def _iterate_normalized(m: LinearTorusMap, f: FieldVector, n: int) -> list[float]:
-    """Per-step stretching ratios |M f_k| / |f_k| with f_k renormalised each step."""
+def _growth_table(m: LinearTorusMap, f: FieldVector, n: int) -> tuple[list[float], list[float]]:
+    """Columns (averages, logs) of the growth table for k = 1..n, from one renormalised orbit.
+
+    logs[k-1] = ln |M f| for the unit vector f after k-1 steps, averages[k-1] the running mean
+    of logs[:k], its log-sum added left to right (sum() compensates from Python 3.12 on).
+    """
     if n < 1:
         raise ValueError("need at least one iteration")
     norm = f.norm
     if norm == 0.0:
         raise ValueError("seed field vector must be nonzero")
     u, v = f.u / norm, f.v / norm
-    ratios = []
-    for _ in range(n):
+    averages, logs, total = [], [], 0.0
+    for k in range(1, n + 1):
         u, v = m.a * u + m.b * v, m.c * u + m.d * v
         r = math.hypot(u, v)
         if r == 0.0:
             raise ValueError("field vector collapsed to zero (singular map)")
-        ratios.append(r)
         u, v = u / r, v / r
-    return ratios
-
-
-def _growth_table(m: LinearTorusMap, f: FieldVector, n: int) -> list[tuple[float, float]]:
-    """(growth_rate, growth_rate_per_step) for k = 1..n from one renormalised orbit.
-
-    The running log-sum adds left to right, as sum() did before Python 3.12
-    made float sums compensated, so every interpreter gives the same bits.
-    """
-    logs = [math.log(r) for r in _iterate_normalized(m, f, n)]
-    return [(total / k, log_r)
-            for k, (total, log_r) in enumerate(zip(accumulate(logs), logs), start=1)]
+        logs.append(math.log(r))
+        total += logs[-1]
+        averages.append(total / k)
+    return averages, logs
 
 
 def growth_rate(m: LinearTorusMap, f: FieldVector, n: int) -> float:
@@ -243,7 +237,7 @@ def growth_rate(m: LinearTorusMap, f: FieldVector, n: int) -> float:
     projection; see growth_rate_per_step for the geometrically convergent
     power-iteration estimate.
     """
-    return _growth_table(m, f, n)[-1][0]
+    return _growth_table(m, f, n)[0][-1]
 
 
 def growth_rate_per_step(m: LinearTorusMap, f: FieldVector, n: int) -> float:
@@ -253,7 +247,7 @@ def growth_rate_per_step(m: LinearTorusMap, f: FieldVector, n: int) -> float:
     to ln|lambda1| geometrically in n, without the 1/n seed bias of the
     time average.
     """
-    return _growth_table(m, f, n)[-1][1]
+    return _growth_table(m, f, n)[1][-1]
 
 
 def arnold_line_element(lam: float, z: float, dp: float, dq: float, dz: float) -> float:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynamokit import filament
 from dynamokit.filament import (
     REGIME_DEGENERATE,
     REGIME_FAST_CANDIDATE,
@@ -395,3 +396,33 @@ class TestClosedFormFitMatchesPolyfit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert classify_dynamo(samples, tau=1.0) == _polyfit_verdict(samples) == verdict
+
+
+def _neumaier_sum(values, start=0):
+    """Python 3.12's compensated float sum(), emulated for the interpreters before it."""
+    hi, lo = float(start), 0.0
+    for x in values:
+        t = hi + x
+        lo += (hi - t) + x if abs(hi) >= abs(x) else (x - t) + hi
+        hi = t
+    return hi + lo if lo and math.isfinite(lo) else hi
+
+
+class TestFitSumsAddLeftToRight:
+    """Sweeps whose intercept sits within 1e-5 relative of 1e-10 S: the way the fit
+    adds decides their verdicts, so a compensated sum() must not reach the fit."""
+
+    @pytest.mark.parametrize("samples, verdict", [
+        ([(0.11888579094208139, 0.22871216410550932), (0.489479325971274, 0.94165900720242),
+          (0.8247649698376686, 1.5866806245153913)], REGIME_FAST_CANDIDATE),
+        ([(0.5199310767937798, 0.26143629247283395), (0.8246179548745656, 0.41464161390298304),
+          (0.9043514508481594, 0.4547339078551534), (1.0015347184306156, 0.5036004486178792),
+          (1.2636849688166771, 0.6354171308011589), (1.7093922689735903, 0.8595315745029273),
+          (1.709451610562123, 0.859561413159592), (1.8116805590256833, 0.9109650673224511),
+          (1.8246641277124076, 0.9174935789094602), (1.8829943553752262, 0.9468236942543239)],
+         REGIME_SLOW),
+    ], ids=["3-points", "10-points"])
+    def test_verdict_does_not_depend_on_sum(self, samples, verdict, monkeypatch):
+        assert classify_dynamo(samples, tau=1.0) == verdict
+        monkeypatch.setattr(filament, "sum", _neumaier_sum, raising=False)
+        assert classify_dynamo(samples, tau=1.0) == verdict

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from dynamokit.maps import (
     make_twist_map,
     transport_field,
 )
-from dynamokit.maps import _growth_table, _iterate_normalized
+from dynamokit.maps import _growth_table
 
 # closed-form cat-map eigenvalues (3 +- sqrt 5)/2, frozen by hand
 CAT_LAMBDA_1 = 2.618033988749895
@@ -154,6 +155,14 @@ class TestTorusDynamics:
         p = TorusPoint(-1e-18, 1.0)
         assert p.x == 0.0 and p.y == 0.0
 
+    def test_points_keep_no_per_point_dict(self):
+        p = TorusPoint(1.25, -0.5)
+        assert not hasattr(p, "__dict__")
+        assert p == TorusPoint(0.25, 0.5) and hash(p) == hash(TorusPoint(0.25, 0.5))
+        assert repr(p) == "TorusPoint(x=0.25, y=0.5)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = 0.0
+
     def test_orbit_zero_steps(self):
         p = TorusPoint(0.3, 0.4)
         assert iterate_orbit(make_cat_map(), p, 0) == [p]
@@ -230,11 +239,12 @@ class TestGrowthRates:
 
     def test_table_rows_are_left_to_right_running_means(self):
         m, f = make_cat_shear_map(2), FieldVector(0.3, 1.0)
-        logs = [math.log(r) for r in _iterate_normalized(m, f, 200)]
+        averages, logs = _growth_table(m, f, 200)
+        assert type(averages) is list and type(logs) is list and len(averages) == len(logs) == 200
         total = 0.0
-        for k, row in enumerate(_growth_table(m, f, 200), start=1):
-            total += logs[k - 1]
-            assert row == (total / k, logs[k - 1])
+        for k, (average, log_r) in enumerate(zip(averages, logs), start=1):
+            total += log_r
+            assert average == total / k
 
     def test_hyperbolic_growth_survives_many_iterations(self):
         # internal renormalisation: no overflow at n = 2000

@@ -4,11 +4,12 @@ Floating-point values serialise with 17 significant digits so every value round-
 exactly and identical runs produce byte-identical files.  The SVG emitter is a minimal
 polyline-plus-axes plotter with no plotting dependency; the numbers in CSV/JSON are the
 contract, the plots are a convenience.  A list, tuple or range is written with the standard
-library alone, a numpy array with vectorised checks: the same bytes and errors either way.
+library alone, a numpy array with vectorised checks and cells: the same bytes and errors either way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from json.encoder import encode_basestring_ascii  # json.dumps(str), minus its set-up per call
@@ -107,6 +108,71 @@ def _csv_field(x, empty: str = "") -> str:
     return '"%s"' % x.replace('"', '""') if any(c in x for c in ',"\r\n') else x
 
 
+@functools.cache
+def _cell_tables():
+    """Per 4-digit chunk its digits with a NUL hole after each, as a uint64, then the same with
+    trailing zeros NUL; per exponent from -300 to 299 the first and last 8 bytes of a cell."""
+    import numpy as np
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # 0000 to 9999
+    chunks = np.zeros((2, 10**4, 8), np.uint8)
+    chunks[:, :, ::2] = digits + 48
+    chunks[1, :, ::2] *= np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0
+    ends = [(("\0" + "0.000"[:1 - e]) * (-4 <= e < 0)).ljust(8, "\0")
+            + (f"e{e:+03d}" * (e < -4 or e > 16)).ljust(5, "\0") + "," for e in range(-300, 300)]
+    return chunks.view(np.uint64).ravel(), np.array(ends, "S16").view(np.uint64).reshape(-1, 2)
+
+
+@functools.cache
+def _pow10(q: int) -> tuple[float, float]:
+    """10**q as a double-double: the nearest float, then the one nearest the remainder."""
+    num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+    m, d = (num / den).as_integer_ratio()
+    return m / d, (num * d - m * den) / (den * d)
+
+
+def _float_rows(blocks) -> bytes:
+    """The CSV rows of equal-length float array blocks, each cell format(v, FLOAT_FORMAT).
+
+    D = round(|v| * 10**(16 - e)), e = floor(log10|v|), is Dekker's TwoProduct of |v| and a
+    double-double 10**(16 - e), its tail within 2**-45 while D < 2**57.  format() writes a cell
+    outside (1e-280, 1e280), within 2**-30 of a tie, or whose D has not 17 digits (e off by one).
+    A cell's 48 bytes hold sign, "0.000", digits each with a hole for a point, "e-280", separator.
+    """
+    import numpy as np
+    x = np.column_stack(blocks).astype(np.float64, copy=False).ravel()
+    inside = (np.abs(x) > 1e-280) & (np.abs(x) < 1e280)
+    a = np.where(inside, np.abs(x), 1.0)  # zero among them: its e is 0, its D is set to 0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = np.array([_pow10(16 - k) for k in range(e.max(), e.min() - 1, -1)]).T[:, e.max() - e]
+    p, a_split, hi_split = a * hi, a * 134217729.0, hi * 134217729.0  # Veltkamp's split
+    ah, hh = a_split - (a_split - a), hi_split - (hi_split - hi)
+    tail = ((ah * hh - p) + ah * (hi - hh) + (a - ah) * hh) + (a - ah) * (hi - hh) + a * lo
+    frac = tail - np.floor(tail)
+    D = (p.astype(np.int64) + np.floor(tail).astype(np.int64) + (frac > 0.5)) * (x != 0)
+    exact = (D > 10**16) & (D < 10**17) | (D == 10**16) & (lo == 0) & (tail == 0)  # 10**e itself
+    slow = np.flatnonzero(~(inside & exact & (np.abs(frac - 0.5) >= 2**-30) | (x == 0)))
+    del inside, a, hi, lo, p, a_split, hi_split, ah, hh, tail, frac, exact  # before the cells
+    chunks, ends = _cell_tables()
+    rest, chunk = D - D // 10**16 * 10**16, np.empty((len(x), 4), np.int64)
+    for k, scale in enumerate((10**12, 10**8, 10**4, 1)):
+        chunk[:, k] = rest // scale
+        rest = rest - chunk[:, k] * scale
+        chunk[:, k] += (rest == 0) * 10**4  # every later digit is zero: strip the chunk's zeros
+    words = np.empty((len(x), 6), np.uint64)
+    words[:, ::5], words[:, 1:5] = ends[e + 300], chunks[chunk]
+    cell = words.view(np.uint8)
+    cell[:, 0], cell[:, 6] = np.signbit(x) * np.uint8(45), D // 10**16 + 48
+    at = np.arange(7, len(x) * 48, 48) + 2 * np.where(e < 0, 16, e) * ((e >= -4) & (e < 17))
+    flat = cell.ravel()
+    flat[at] = (flat[at + 1] != 0) * np.uint8(46)  # the point, if a digit follows it
+    whole = np.flatnonzero((e > 0) & (e < 17) & (flat[at] == 0))  # an integer's zeros come back
+    cell[whole, 6:40:2] |= (np.arange(17) <= e[whole, None]) * np.uint8(48)
+    cell[slow, :45] = np.array([format(v, FLOAT_FORMAT) for v in x[slow].tolist()],
+                               "S45").view(np.uint8).reshape(-1, 45)
+    cell.reshape(len(blocks[0]), len(blocks), 48)[:, -1, 45:47] = 13, 10
+    return cell.tobytes().translate(None, b"\0")  # the NULs: all that %g leaves out
+
+
 def _scan(column) -> tuple[int, bool]:
     """The row of the column's first non-finite number (its length if none) and whether it holds
     only numbers.  An int or float array takes one vectorised pass; cells may be None or str."""
@@ -146,18 +212,22 @@ def write_csv(path: Path, header, *columns) -> None:
     the file, column and data row of the first one in row order.  The bytes
     are csv.writer's, without its module: one row template per table, with a
     FLOAT_FORMAT slot per numbers-only column and a %s slot, filled by _csv_field, per other.
+    A table of float arrays alone has its cells made by _float_rows instead.
     """
     numeric = _checked(path, "column", header, columns, "data row")
     # csv.writer quotes a row whose only field is empty, so that it is not a blank line
     empty = '""' if len(columns) == 1 else ""
     line = ",".join("%" + FLOAT_FORMAT if num else "%s" for num in numeric) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_csv_field(name, empty) for name in header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(_csv_field(name, empty) for name in header) + "\r\n").encode())
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             blocks = [column[start:start + _CSV_BLOCK_ROWS] for column in columns]
+            if all(hasattr(block, "dtype") and block.dtype.kind == "f" for block in blocks):
+                fh.write(_float_rows(blocks))
+                continue
             cells = [(block.tolist() if hasattr(block, "tolist") else block) if num else
                      [_csv_field(x, empty) for x in block] for block, num in zip(blocks, numeric)]
-            fh.write("".join(line % row for row in zip(*cells)))
+            fh.write("".join(line % row for row in zip(*cells)).encode())
 
 
 def _axis(values, place) -> tuple[float, float, list[float]]:

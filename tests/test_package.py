@@ -104,6 +104,27 @@ def test_each_command_loads_only_its_own_kernel(command, tmp_path):
     assert no_ma, "the run imported numpy.ma, which numpy itself does not"
 
 
+def test_float_cell_tables_are_built_by_float_array_tables_alone(tmp_path):
+    # the CSV kernel's digit table and powers of ten: none at import, none for the list tables
+    # of map and filament; a tube run builds them and still leaves numpy.ma unloaded
+    script = (
+        "import json, sys\n"
+        "from dynamokit import reports\n"
+        "built = lambda: [reports._cell_tables.cache_info().currsize,\n"
+        "                 reports._pow10.cache_info().currsize]\n"
+        "sizes = [built()]\n"
+        "from dynamokit.cli import main\n"
+        "for command in ('map', 'filament', 'tube'):\n"
+        "    assert main(['--command', command, '--out', sys.argv[1] + '/' + command]) == 0\n"
+        "    sizes.append(built())\n"
+        "print(json.dumps([sizes, 'numpy.ma' in sys.modules]))\n"
+    )
+    sizes, ma = json.loads(_fresh_python(script, str(tmp_path)))
+    assert sizes[:3] == [[0, 0]] * 3
+    assert sizes[3][0] == 1 and sizes[3][1] > 0
+    assert not ma
+
+
 @pytest.mark.parametrize("command", ["map", "filament"])
 def test_map_and_filament_run_without_numpy(command, tmp_path):
     # both compute on Python floats and write through the standard library alone

@@ -1,13 +1,19 @@
+import builtins
 import csv
 import io
+import itertools
 import json
 import math
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynamokit import reports
 from dynamokit.cli import MAX_TABLE_ROWS
 from dynamokit.reports import format_float, json_dumps, write_csv, write_json, write_svg_polyline
 
@@ -280,3 +286,104 @@ class TestListsAndArraysAgree:
         assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
         if isinstance(outcomes[0], bytes):
             assert b"nan" not in outcomes[0] and b"inf" not in outcomes[0]
+
+
+
+def _ulp_neighbours(values, steps: int) -> list:
+    """values and the floats 1..steps ulps below and above each."""
+    out, down, up = [values], values, values
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return out
+
+
+def _float_cell_inputs(rng) -> np.ndarray:
+    """Finite floats that stress an exact %.17g, and their negations: random bit patterns,
+    17-digit rounding ties and scaled neighbours of them, every power of ten and %g's notation
+    switches with their nearest floats, subnormals, zeros and the ends of the finite range."""
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False).view(np.float64)
+    # m / 2**k, m odd, is m * 5**k / 10**k: 18 digits ending in 5, a tie at 17 digits
+    ranges = [(k, -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)) for k in range(1, 60)]
+    ties = [m / 2.0**k * scale for k, low, high in ranges if low < high
+            for m in (rng.integers(low, high, 64) | 1).tolist()
+            for scale in (1.0, 2.0**-30, 2.0**40)]
+    powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    special = [0.0, 5e-324, 2.2250738585072009e-308, sys.float_info.min, sys.float_info.max,
+               1.0, 1200.0, 1e22, 1e23]
+    values = np.concatenate([bits, ties, *_ulp_neighbours(powers, 2),
+                             *_ulp_neighbours(np.array([1e-5, 1e-4, 1e16, 1e17]), 40),
+                             special, rng.uniform(0.0, 2.2e-308, 1000)])
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, -values])
+
+
+def _fallback_reason(value: float) -> str:
+    """Why reports._float_rows may hand value to format(): outside its window, within 2**-30 of a
+    17-digit tie, or within 1e-12 of a power of ten, where log10 may misplace it; exact."""
+    a = abs(value)
+    if not 1e-280 < a < 1e280:
+        return "window"
+    exponent = Decimal(a).adjusted()
+    scaled = Fraction(a) * Fraction(10) ** (16 - exponent)
+    if abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 2**30):
+        return "tie"
+    if scaled < 10**16 + 10**4 or scaled > 10**17 - 10**5:
+        return "digits"
+    return "none"
+
+
+class TestFloatArrayCells:
+    """A table of float arrays alone takes reports._float_rows, numpy's exact %.17g: its bytes
+    are format()'s for every finite float, and each of its fallbacks to format() is taken."""
+
+    def test_bytes_equal_format(self, tmp_path, monkeypatch):
+        values = _float_cell_inputs(np.random.default_rng(20231))
+        values = values[:len(values) // 3 * 3]
+        taken = []
+
+        def spy(value, spec):  # shadows the builtin in reports: each value the kernel hands on
+            taken.append(value)
+            return builtins.format(value, spec)
+        monkeypatch.setattr(reports, "format", spy, raising=False)
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], *values.reshape(-1, 3).T)
+        monkeypatch.undo()
+        separators = itertools.cycle([",", ",", "\r\n"])
+        expected = "a,b,c\r\n" + "".join(format(value, ".17g") + separator
+                                         for value, separator in zip(values.tolist(), separators))
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+        reasons = [_fallback_reason(value) for value in taken]
+        assert 0.0 not in taken  # zero is written by the kernel itself
+        assert {"window", "tie", "digits"} <= set(reasons)
+        assert "none" not in reasons
+        assert len(taken) - reasons.count("window") < 0.01 * len(values)  # inside, rare
+
+    def test_float32_and_float16_widen_as_tolist_does(self, tmp_path):
+        rng = np.random.default_rng(5)
+        narrow = rng.integers(0, 2**32, 3000, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        narrow = narrow[np.isfinite(narrow)][:2000]
+        half = rng.standard_normal(2000).astype(np.float16)
+        write_csv(tmp_path / "t.csv", ["f32", "f16"], narrow, half)
+        rows = "".join(f"{format(a, '.17g')},{format(b, '.17g')}\r\n"
+                       for a, b in zip(narrow.tolist(), half.tolist()))
+        assert (tmp_path / "t.csv").read_bytes() == ("f32,f16\r\n" + rows).encode()
+
+    @pytest.mark.parametrize("columns, kernel", [
+        ([np.array([0.5, -2.0]), np.array([1e30, 3.0], dtype=np.float32)], True),
+        ([np.array([0.5, -2.0]), np.array([1, 2])], False),
+        ([np.array([0.5, -2.0]), np.array([True, False])], False),
+        ([np.array([0.5, -2.0]), [1.5, None]], False),
+        ([np.array([1, 2])], False),
+    ], ids=["float-arrays", "int-array", "bool-array", "list", "int-only"])
+    def test_only_float_array_tables_take_the_kernel(self, tmp_path, monkeypatch, columns, kernel):
+        calls, kernel_rows = [], reports._float_rows
+
+        def spy(blocks):
+            calls.append(len(blocks))
+            return kernel_rows(blocks)
+        monkeypatch.setattr(reports, "_float_rows", spy)
+        header = [f"c{index}" for index in range(len(columns))]
+        write_csv(tmp_path / "t.csv", header, *columns)
+        assert bool(calls) == kernel
+        plain = [column.tolist() if hasattr(column, "tolist") else column for column in columns]
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, plain)

@@ -10,6 +10,7 @@ library alone, a numpy array with vectorised checks and cells: the same bytes an
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from json.encoder import encode_basestring_ascii  # json.dumps(str), minus its set-up per call
@@ -53,11 +54,21 @@ def json_dumps(obj) -> str:
 
 
 def _dumps(obj, indent: int, at="") -> str:
-    if isinstance(obj, float):
+    if isinstance(obj, float):  # np.float64 too: it formats through float
+        if math.isfinite(obj):
+            return format(obj, FLOAT_FORMAT)
+        raise _NonFinite(f"cannot serialise non-finite value {float(obj)!r}", at)
+    if isinstance(obj, (dict, list, tuple)):
+        brackets, sep = "{}" if isinstance(obj, dict) else "[]", ",\n" + "  " * (indent + 1)
         try:
-            return format_float(obj)
-        except ValueError as exc:
-            raise _NonFinite(str(exc), at) from None
+            items = ([f"{encode_basestring_ascii(str(key))}: {_dumps(value, indent + 1, str(key))}"
+                      for key, value in obj.items()] if brackets == "{}" else
+                     [_dumps(value, indent + 1, index) for index, value in enumerate(obj)])
+        except _NonFinite as exc:
+            exc.args += (at,)
+            raise
+        return (brackets[0] + sep[1:] + sep.join(items) + "\n" + "  " * indent + brackets[1]
+                if items else brackets)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -66,23 +77,6 @@ def _dumps(obj, indent: int, at="") -> str:
         return str(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    pad, inner = "  " * indent, "  " * (indent + 1)
-    try:
-        if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            items = ",\n".join(f"{inner}{encode_basestring_ascii(str(key))}: "
-                               + _dumps(value, indent + 1, str(key)) for key, value in obj.items())
-            return "{\n" + items + "\n" + pad + "}"
-        if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-            items = ",\n".join(f"{inner}{_dumps(value, indent + 1, index)}"
-                               for index, value in enumerate(obj))
-            return "[\n" + items + "\n" + pad + "]"
-    except _NonFinite as exc:
-        exc.args += (at,)
-        raise
     # numpy scalars and similar duck-typed numbers
     if hasattr(obj, "item"):
         return _dumps(obj.item(), indent, at)
@@ -143,7 +137,8 @@ def _float_rows(blocks) -> bytes:
     inside = (np.abs(x) > 1e-280) & (np.abs(x) < 1e280)
     a = np.where(inside, np.abs(x), 1.0)  # zero among them: its e is 0, its D is set to 0
     e = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = np.array([_pow10(16 - k) for k in range(e.max(), e.min() - 1, -1)]).T[:, e.max() - e]
+    table = np.array([_pow10(16 - k) for k in range(e.max(), e.min() - 1, -1)]).T
+    hi, lo = table.take(e.max() - e, axis=1)  # two contiguous rows
     p, a_split, hi_split = a * hi, a * 134217729.0, hi * 134217729.0  # Veltkamp's split
     ah, hh = a_split - (a_split - a), hi_split - (hi_split - hi)
     tail = ((ah * hh - p) + ah * (hi - hh) + (a - ah) * hh) + (a - ah) * (hi - hh) + a * lo
@@ -159,7 +154,7 @@ def _float_rows(blocks) -> bytes:
         rest = rest - chunk[:, k] * scale
         chunk[:, k] += (rest == 0) * 10**4  # every later digit is zero: strip the chunk's zeros
     words = np.empty((len(x), 6), np.uint64)
-    words[:, ::5], words[:, 1:5] = ends[e + 300], chunks[chunk]
+    words[:, ::5], words[:, 1:5] = ends.take(e + 300, axis=0), chunks.take(chunk)
     cell = words.view(np.uint8)
     cell[:, 0], cell[:, 6] = np.signbit(x) * np.uint8(45), D // 10**16 + 48
     at = np.arange(7, len(x) * 48, 48) + 2 * np.where(e < 0, 16, e) * ((e >= -4) & (e < 17))
@@ -230,38 +225,66 @@ def write_csv(path: Path, header, *columns) -> None:
             fh.write("".join(line % row for row in zip(*cells)).encode())
 
 
-def _axis(values, place) -> tuple[float, float, list[float]]:
-    """The two end labels of an axis and each value's position, place(f) at fraction f of it.
+def _axis(values, place) -> tuple:
+    """The two end labels of an axis, min() and max() of its values, and the function taking a
+    value, or an array of them, to its position: place(f) at fraction f of the axis.
 
     A series whose halved values are all equal lies mid-axis, between labels
     half its magnitude (at least 0.5) either side.  Fractions are taken on
     halved values, so that no span of finite values overflows.
     """
-    listed = values.tolist() if hasattr(values, "tolist") else values
-    lo, hi = min(listed), max(listed)
-    del listed  # an array's float list goes before its positions are made
+    lo, hi = ((float(values[values.argmin()]), float(values[values.argmax()]))  # min()'s zero
+              if hasattr(values, "argmin") else (min(values), max(values)))
     span = hi / 2 - lo / 2
     if span == 0.0:
         pad = 0.5 * max(1.0, abs(lo))
         lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
-        return lo, hi, [place(0.5)] * len(values)
-    at = lambda v: place((v / 2 - lo / 2) / span)  # noqa: E731 - on an array or a float
-    return lo, hi, at(values).tolist() if hasattr(values, "tolist") else list(map(at, values))
+        return lo, hi, lambda v: place(0.5 + 0.0 * v)
+    return lo, hi, lambda v: place((v / 2 - lo / 2) / span)
+
+
+def _m4(xs, ys, at):
+    """The indices M4 keeps (Jugel et al., PVLDB 7(10), 2014), in order: of each maximal run of
+    over four points in one pixel column int(at(x)), its first and last points and its first of
+    least and greatest y; a shorter run whole.  At 1 px per SVG unit, up to anti-aliasing, they
+    draw each column's extent as all points do, in any x order; zoomed in, they show less."""
+    if not hasattr(xs, "dtype"):
+        kept, y = [], ys.__getitem__
+        for _, run in itertools.groupby(range(len(xs)), lambda i: int(at(xs[i]))):
+            run = list(run)
+            kept += sorted({run[0], run[-1], min(run, key=y), max(run, key=y)}) if run[4:] else run
+        return kept
+    import numpy as np
+    starts = np.flatnonzero(np.diff(at(xs).astype(np.int16), prepend=-1))  # 0 <= at(x) < 2**15
+    lengths = np.diff(starts, append=len(xs))
+    keep = np.repeat(lengths <= 4, lengths)
+    keep[starts] = keep[starts - 1] = True  # firsts; lasts, each before a first (-1 wraps)
+    for extreme in (np.minimum, np.maximum):
+        hits = np.flatnonzero(ys == np.repeat(extreme.reduceat(ys, starts), lengths))
+        keep[hits[np.searchsorted(hits, starts)]] = True  # each run's first hit
+    return np.flatnonzero(keep)
 
 
 def write_svg_polyline(path: Path, xs, ys, *, title: str, x_label: str, y_label: str) -> None:
-    """Minimal static plot: an axes box, extreme-value tick labels, one polyline.  Unequal or
-    empty series, and a non-finite value (named by series and point), raise ValueError."""
-    xs, ys = (v.astype(float, copy=False) if hasattr(v, "tolist") else [float(x) for x in v]
-              for v in (xs, ys))
+    """Minimal static plot: an axes box, extreme-value tick labels, one polyline through the
+    points M4 keeps.  The labels and checks see every point.  Unequal or empty series, and a
+    non-finite value (named by series and point), raise ValueError."""
+    if hasattr(xs, "tolist") or hasattr(ys, "tolist"):  # a pair with an array is drawn as arrays
+        import numpy as np
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    else:
+        xs, ys = [float(x) for x in xs], [float(y) for y in ys]
     if len(xs) != len(ys) or not len(xs):
         raise ValueError("xs and ys must be equal-length, nonempty sequences")
     _checked(path, "series", (x_label, y_label), (xs, ys), "point")
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
     plot_w = _SVG_WIDTH - margin_left - margin_right
     plot_h = _SVG_HEIGHT - margin_top - margin_bottom
-    x_min, x_max, px = _axis(xs, lambda f: margin_left + f * plot_w)
-    y_min, y_max, py = _axis(ys, lambda f: margin_top + (1.0 - f) * plot_h)
+    x_min, x_max, at_x = _axis(xs, lambda f: margin_left + f * plot_w)
+    y_min, y_max, at_y = _axis(ys, lambda f: margin_top + (1.0 - f) * plot_h)
+    kept = _m4(xs, ys, at_x)
+    px, py = ((at(v[kept]).tolist() if hasattr(kept, "dtype") else [at(v[i]) for i in kept])
+              for at, v in ((at_x, xs), (at_y, ys)))
     points = " ".join(map("%.6g,%.6g".__mod__, zip(px, py)))
     x0, x1 = margin_left, margin_left + plot_w
     y0, y1 = margin_top, margin_top + plot_h

@@ -490,9 +490,9 @@ class TestTubeFrenetRowCost:
     frenet 112 B/row, growing by 88 B.  Each bound is the measurement plus 25%."""
 
     @staticmethod
-    def _peak(tmp_path, argv) -> int:
+    def _peak(tmp_path, argv, format_spec="csv") -> int:
         cfg = cli._resolve(cli._build_parser().parse_args(
-            [*argv, "--format", "csv", "--out", str(tmp_path / "x")]))
+            [*argv, "--format", format_spec, "--out", str(tmp_path / "x")]))
         cfg.output_dir.mkdir(exist_ok=True)
         runner = cli._RUNNERS[cfg.command]
         cli._emit(cfg, *runner(cfg))  # warm-up: first-call imports and tables stay out
@@ -512,6 +512,15 @@ class TestTubeFrenetRowCost:
         small, large = (self._peak(tmp_path, flags(rows)) for rows in (10**4, 10**5))
         assert large / 10**5 <= bound
         assert (large - small) / (10**5 - 10**4) <= growth
+
+    # With --format svg at 10^5 rows: tube 88 B/row, frenet 106 B/row, the plot's M4 selection
+    # on top of the runner's arrays; bounds 25% above.
+    @pytest.mark.parametrize("flags, bound", [
+        (["--command", "tube", "--nodes", "100000"], 110),
+        (["--command", "frenet", "--s-end", "100", "--step", "0.001"], 133),
+    ], ids=["tube", "frenet"])
+    def test_svg_peak_bytes_per_row(self, tmp_path, flags, bound):
+        assert self._peak(tmp_path, flags, "svg") / 10**5 <= bound
 
 
 class TestConfigAndDeterminism:

@@ -387,3 +387,105 @@ class TestFloatArrayCells:
         assert bool(calls) == kernel
         plain = [column.tolist() if hasattr(column, "tolist") else column for column in columns]
         assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, plain)
+
+
+def _plot_x(xs):
+    """The x position function of the writer's plot area, 550 px from 70 px, for xs."""
+    return reports._axis(xs, lambda f: 70 + f * 550)[2]
+
+
+def _m4_reference(xs, ys) -> list[int]:
+    """Per maximal run of consecutive points in one pixel column int(px), in order: the first
+    and last points and the first points of least and greatest y, each once; or, in a run of
+    at most four points, every point."""
+    at = _plot_x(xs)
+    columns = [int(at(x)) for x in xs]
+    kept, start = [], 0
+    for end in range(1, len(xs) + 1):
+        if end < len(xs) and columns[end] == columns[start]:
+            continue
+        run = list(range(start, end))
+        least = greatest = start
+        for index in run:
+            least = index if ys[index] < ys[least] else least
+            greatest = index if ys[index] > ys[greatest] else greatest
+        kept += run if len(run) <= 4 else sorted({start, end - 1, least, greatest})
+        start = end
+    return kept
+
+
+def _points(body: bytes) -> str:
+    return body.decode().split('points="')[1].split('"')[0]
+
+
+@st.composite
+def _crowded_series(draw):
+    """Hundreds to thousands of points whose x takes a handful of values: sorted, shuffled,
+    constant or signed zeros, with y from a few values, signed zeros or spread floats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = draw(st.integers(100, 3000))
+    values = np.array(draw(st.lists(_FLOATS, min_size=1, max_size=6)))
+    x_kind = draw(st.sampled_from(["sorted", "shuffled", "constant", "signed-zeros"]))
+    xs = {"sorted": np.sort(rng.choice(values, points)), "shuffled": rng.choice(values, points),
+          "constant": np.full(points, values[0]),
+          "signed-zeros": rng.choice([0.0, -0.0, values[0]], points)}[x_kind]
+    y_kind = draw(st.sampled_from(["few", "signed-zeros", "spread"]))
+    ys = {"few": rng.choice(values, points), "signed-zeros": rng.choice([0.0, -0.0], points),
+          "spread": rng.standard_normal(points) * 10.0 ** rng.integers(-5, 5, points)}[y_kind]
+    return xs.tolist(), ys.tolist()
+
+
+class TestM4:
+    """write_svg_polyline keeps per run of points in one pixel column its first, last, first
+    least-y and first greatest-y points (M4), on lists with a loop and on arrays with numpy."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(series=_crowded_series())
+    @example(series=([0.0, -0.0] * 300, [-0.0, 0.0, 1.0] * 200))
+    @example(series=([5.0] * 500, [2.0] * 500))
+    def test_kept_points_are_each_runs_first_last_least_and_greatest(self, series):
+        xs, ys = series
+        expected = _m4_reference(xs, ys)
+        assert reports._m4(xs, ys, _plot_x(xs)) == expected
+        arrays = np.array(xs), np.array(ys)
+        assert reports._m4(*arrays, _plot_x(arrays[0])).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), columns=st.integers(2, 300),
+           y_kind=st.sampled_from(["spread", "constant", "signed-zeros"]))
+    def test_at_most_four_points_per_column_keeps_every_point(self, tmp_path_factory, seed,
+                                                               columns, y_kind):
+        # x takes the values 0..columns-1 in a drawn order, so that adjacent values lie at
+        # least 1.8 px apart, and each value is held by 1 to 4 consecutive points
+        rng = np.random.default_rng(seed)
+        xs = np.repeat(rng.permutation(columns), rng.integers(1, 5, columns)).astype(float)
+        ys = {"spread": rng.standard_normal(len(xs)) * 10.0 ** rng.integers(-5, 5, len(xs)),
+              "constant": np.full(len(xs), -3.5),
+              "signed-zeros": rng.choice([0.0, -0.0], len(xs))}[y_kind]
+        # the all-points polyline, each point placed as the writer placed it before M4
+        x_lo, x_span = xs.min(), xs.max() / 2 - xs.min() / 2
+        y_lo, y_span = ys.min(), ys.max() / 2 - ys.min() / 2
+        reference = " ".join("%.6g,%.6g" % (70 + (x / 2 - x_lo / 2) / x_span * 550,
+                                            40 + (1.0 - ((y / 2 - y_lo / 2) / y_span
+                                                         if y_span else 0.5)) * 350)
+                             for x, y in zip(xs.tolist(), ys.tolist()))
+        for pair in [(xs.tolist(), ys.tolist()), (xs, ys)]:
+            path = tmp_path_factory.mktemp("svg") / "p.svg"
+            write_svg_polyline(path, *pair, title="t", x_label="X", y_label="Y")
+            assert _points(path.read_bytes()) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(series=_crowded_series())
+    @example(series=([0.0, -0.0] * 300, [-0.0, 0.0] * 300))
+    @example(series=([-0.0, 0.0] * 300, [0.0, -0.0] * 300))
+    def test_lists_arrays_and_mixed_pairs_write_the_same_bytes(self, tmp_path_factory, series):
+        xs, ys = series
+        outcomes = [_outcome(tmp_path_factory.mktemp("svg"), lambda path: write_svg_polyline(
+                        path, x, y, title="t", x_label="X", y_label="Y"))
+                    for x, y in [(xs, ys), (np.array(xs), np.array(ys)),
+                                 (np.array(xs), ys), (xs, np.array(ys))]]
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3]
+        assert _points(outcomes[0]).count(" ") + 1 == len(_m4_reference(xs, ys))
+        x_lo, x_hi = min(xs), max(xs)  # of every point, kept or not
+        if x_hi / 2 - x_lo / 2:  # else the labels lie either side of the one x
+            assert all(f">{x:.6g}</text>".encode() in outcomes[0] for x in (x_lo, x_hi))

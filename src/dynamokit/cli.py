@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid input, 3 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shutil
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .reports import format_float, write_csv, write_json, write_svg_polyline
+from .reports import _Records, format_float, write_csv, write_json, write_svg_polyline
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _FORMATS = ("csv", "json", "svg")
@@ -89,14 +90,11 @@ PARAM_SCHEMAS: dict[str, dict] = {
     },
 }
 
-_ALL_FLAGS: dict[str, str] = {}
+# flag -> the first help text given for it, then each command that takes it
+_ALL_FLAGS: dict[str, list[str]] = {}
 for _cmd, _schema in PARAM_SCHEMAS.items():
     for _flag, (_conv, _default, _help) in _schema.items():
-        if _flag in _ALL_FLAGS:
-            _ALL_FLAGS[_flag] += f", {_cmd}"
-        else:
-            _ALL_FLAGS[_flag] = f"{_help} (commands: {_cmd}"
-_ALL_FLAGS = {flag: text + ")" for flag, text in _ALL_FLAGS.items()}
+        _ALL_FLAGS.setdefault(_flag, [_help]).append(_cmd)
 
 
 @dataclass(frozen=True)
@@ -109,6 +107,7 @@ class RunConfig:
     formats: tuple[str, ...]
 
 
+@functools.cache  # main never changes the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynamokit",
@@ -118,8 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--format", help="comma-separated subset of csv,json,svg (default: all)")
     parser.add_argument("--config", help="config file: key=value lines or a manifest.json")
-    for flag, help_text in _ALL_FLAGS.items():
-        parser.add_argument(f"--{flag}", dest=flag, help=help_text)
+    for flag, (help_text, *commands) in _ALL_FLAGS.items():
+        parser.add_argument(f"--{flag}", dest=flag,
+                            help=f"{help_text} (commands: {', '.join(commands)})")
     return parser
 
 
@@ -425,9 +425,7 @@ def run_frenet(cfg: RunConfig) -> tuple:
     results = {
         "samples": len(trajectory.arclengths),
         "max_defect": trajectory.max_defect,
-        "reorthonormalizations": [
-            {"s": s, "defect": defect} for s, defect in trajectory.reorthonormalizations
-        ],
+        "reorthonormalizations": _Records(("s", "defect"), trajectory.reorthonormalizations),
         "rotation_angle": rotation,
         "expected_rotation_angle": span * math.hypot(p["kappa0"], p["tau0"]),
     }

@@ -53,6 +53,31 @@ def json_dumps(obj) -> str:
         raise ValueError(f"{path or 'top level'}: {exc.args[0]}") from None
 
 
+class _Records:
+    """The list [dict(zip(keys, row)) for row in rows] as _dumps writes it: one %.17g template per
+    block of _CSV_BLOCK_ROWS rows of one finite float per key, else those dicts, errors and all."""
+
+    def __init__(self, keys, rows):
+        self.keys, self.rows = keys, rows
+
+    def dumps(self, indent: int, at) -> str:
+        keys, rows, pad = self.keys, self.rows, "\n" + "  " * (indent + 1)
+        row = "{" + ",".join(f"{pad}  {encode_basestring_ascii(str(key)).replace('%', '%%')}: "
+                             f"%{FLOAT_FORMAT}" for key in keys) + pad + "}"
+        blocks = []
+        for start in range(0, len(rows) if len(set(keys)) == len(keys) else 0, _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            cells = tuple(itertools.chain.from_iterable(block))
+            if not (set(map(len, block)) == {len(keys)} and set(map(type, cells)) == {float}
+                    and all(map(math.isfinite, cells))):
+                break
+            blocks.append(("," + pad).join([row] * len(block)) % cells)
+        else:  # a repeated key, which a dict keeps once, or no rows leave no blocks
+            if blocks:
+                return "[" + pad + ("," + pad).join(blocks) + "\n" + "  " * indent + "]"
+        return _dumps([dict(zip(keys, row)) for row in rows], indent, at)
+
+
 def _dumps(obj, indent: int, at="") -> str:
     if isinstance(obj, float):  # np.float64 too: it formats through float
         if math.isfinite(obj):
@@ -69,6 +94,8 @@ def _dumps(obj, indent: int, at="") -> str:
             raise
         return (brackets[0] + sep[1:] + sep.join(items) + "\n" + "  " * indent + brackets[1]
                 if items else brackets)
+    if type(obj) is _Records:
+        return obj.dumps(indent, at)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -285,7 +312,7 @@ def write_svg_polyline(path: Path, xs, ys, *, title: str, x_label: str, y_label:
     kept = _m4(xs, ys, at_x)
     px, py = ((at(v[kept]).tolist() if hasattr(kept, "dtype") else [at(v[i]) for i in kept])
               for at, v in ((at_x, xs), (at_y, ys)))
-    points = " ".join(map("%.6g,%.6g".__mod__, zip(px, py)))
+    points = ("%.6g,%.6g " * len(px) % tuple(itertools.chain.from_iterable(zip(px, py))))[:-1]
     x0, x1 = margin_left, margin_left + plot_w
     y0, y1 = margin_top, margin_top + plot_h
     lines = [

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -123,6 +124,53 @@ class TestJsonDumps:
         assert json_dumps(value) == json.dumps(value)
         doc = {key: value, "list": [key]}
         assert json_dumps(doc) == json.dumps(doc, indent=2)
+
+
+# one row per re-orthonormalisation event and the like: the writer's block edges and either side
+_RECORD_COUNTS = [0, 1, reports._CSV_BLOCK_ROWS - 1, reports._CSV_BLOCK_ROWS,
+                  reports._CSV_BLOCK_ROWS + 1, 2 * reports._CSV_BLOCK_ROWS + 3]
+# what a row may hold that is not a finite float; _SHORT_ROW drops its cell from the row instead
+_SHORT_ROW = object()
+_ODD_CELLS = [0, 2**70, True, False, None, np.float64(0.1), np.float64(math.inf), "x", math.nan,
+              math.inf, -math.inf, _SHORT_ROW]
+
+
+def _dumped(obj):
+    try:
+        return json_dumps(obj)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRecords:
+    """A record value writes as the list of dicts it stands for: same text, same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(keys=st.lists(st.text(st.sampled_from('%"\\\né€') | st.characters(), max_size=4),
+                         max_size=4),
+           pool=st.lists(_FLOATS | st.sampled_from([sys.float_info.max, -sys.float_info.max,
+                                                    -5e-324, 2.2250738585072014e-308]),
+                         min_size=1, max_size=16),
+           count=st.sampled_from(_RECORD_COUNTS), kind=st.sampled_from([tuple, list]),
+           odd=st.none() | st.tuples(st.sampled_from(_ODD_CELLS),
+                                     st.floats(0, 1, exclude_max=True)))
+    @example(keys=["s", "defect"], pool=[0.5, 1e-9], count=_RECORD_COUNTS[4], kind=tuple,
+             odd=(_SHORT_ROW, 0.9))  # in the second block
+    @example(keys=["a", "a"], pool=[1.0, 2.0], count=3, kind=list, odd=None)
+    @example(keys=[], pool=[1.0], count=2, kind=tuple, odd=None)
+    def test_writes_as_its_list_of_dicts(self, keys, pool, count, kind, odd):
+        cells = [pool[i % len(pool)] for i in range(count * len(keys))]
+        if odd is not None and cells:
+            value, where = odd
+            cells[int(where * len(cells))] = value
+        rows = [kind(cell for cell in cells[i * len(keys):(i + 1) * len(keys)]
+                     if cell is not _SHORT_ROW) for i in range(count)]
+        dicts = [dict(zip(keys, row)) for row in rows]
+        for wrap in (lambda value: value, lambda value: {"results": {"events": value, "n": 1}}):
+            records, expected = _dumped(wrap(reports._Records(keys, rows))), _dumped(wrap(dicts))
+            # equal texts, shown from their first difference: a diff of whole texts takes minutes
+            at = len(os.path.commonprefix([records, expected]))
+            assert records[at:at + 80] == expected[at:at + 80]
 
 
 class TestWriters:

@@ -1,10 +1,9 @@
 """Deterministic CSV/JSON/SVG writers shared by the command-line reports.
 
 Floating-point values serialise with 17 significant digits so every value round-trips
-exactly and identical runs produce byte-identical files.  The SVG emitter is a minimal
-polyline-plus-axes plotter with no plotting dependency; the numbers in CSV/JSON are the
-contract, the plots are a convenience.  A list, tuple or range is written with the standard
-library alone, a numpy array with vectorised checks and cells: the same bytes and errors either way.
+exactly and identical runs produce byte-identical files, plots included.  A column or series
+with a dtype (a numpy array) takes vectorised checks and cells, any other sequence (a list,
+tuple, range or array('d')) the standard library alone: the same bytes and errors either way.
 """
 
 from __future__ import annotations
@@ -19,9 +18,10 @@ from pathlib import Path
 FLOAT_FORMAT = ".17g"
 # write_csv formats this many rows at once, so a long table never holds all its cells
 _CSV_BLOCK_ROWS = 1024
-# SVG canvas size in pixels
-_SVG_WIDTH = 640
-_SVG_HEIGHT = 440
+# SVG canvas size in pixels, and the plot area's edges and size within it
+_SVG_WIDTH, _SVG_HEIGHT = 640, 440
+_PLOT_LEFT, _PLOT_RIGHT, _PLOT_TOP, _PLOT_BOTTOM = 70, 620, 40, 390
+_PLOT_WIDTH, _PLOT_HEIGHT = _PLOT_RIGHT - _PLOT_LEFT, _PLOT_BOTTOM - _PLOT_TOP
 
 __all__ = ["format_float", "json_dumps", "write_json", "write_csv", "write_svg_polyline"]
 
@@ -216,7 +216,7 @@ def _checked(path: Path, kind: str, names, columns, place: str) -> list[bool]:
     them and a non-finite number raise ValueError; the last names the first in row order."""
     lengths = [len(column) for column in columns]
     if len(names) != len(columns) or len(set(lengths)) != 1:
-        raise ValueError(f"{Path(path).name}: {len(names)} names for {kind}s of lengths {lengths}")
+        raise ValueError(f"{Path(path).name}: {kind} lengths {lengths} for {len(names)} names")
     scans = [_scan(column) for column in columns]
     row, index = min((row, index) for index, (row, _) in enumerate(scans))
     if row < lengths[0]:
@@ -247,7 +247,7 @@ def write_csv(path: Path, header, *columns) -> None:
             if all(hasattr(block, "dtype") and block.dtype.kind == "f" for block in blocks):
                 fh.write(_float_rows(blocks))
                 continue
-            cells = [(block.tolist() if hasattr(block, "tolist") else block) if num else
+            cells = [(block.tolist() if hasattr(block, "dtype") else block) if num else
                      [_csv_field(x, empty) for x in block] for block, num in zip(blocks, numeric)]
             fh.write("".join(line % row for row in zip(*cells)).encode())
 
@@ -261,7 +261,7 @@ def _axis(values, place) -> tuple:
     halved values, so that no span of finite values overflows.
     """
     lo, hi = ((float(values[values.argmin()]), float(values[values.argmax()]))  # min()'s zero
-              if hasattr(values, "argmin") else (min(values), max(values)))
+              if hasattr(values, "dtype") else (min(values), max(values)))
     span = hi / 2 - lo / 2
     if span == 0.0:
         pad = 0.5 * max(1.0, abs(lo))
@@ -292,50 +292,45 @@ def _m4(xs, ys, at):
     return np.flatnonzero(keep)
 
 
+def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
+    """One line of plot text, its body escaped so that any title or label leaves valid XML."""
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}" '
+            f'font-family="sans-serif"{extra}>{body}</text>')
+
+
 def write_svg_polyline(path: Path, xs, ys, *, title: str, x_label: str, y_label: str) -> None:
-    """Minimal static plot: an axes box, extreme-value tick labels, one polyline through the
-    points M4 keeps.  The labels and checks see every point.  Unequal or empty series, and a
-    non-finite value (named by series and point), raise ValueError."""
-    if hasattr(xs, "tolist") or hasattr(ys, "tolist"):  # a pair with an array is drawn as arrays
+    """Minimal plot: axes, extreme-value tick labels, a polyline through the points M4 keeps.
+    Labels and checks see every point; unequal, empty or non-finite series raise ValueError."""
+    if hasattr(xs, "dtype") or hasattr(ys, "dtype"):  # a pair with an array is drawn as arrays
         import numpy as np
         xs, ys = np.asarray(xs, float), np.asarray(ys, float)
     else:
         xs, ys = [float(x) for x in xs], [float(y) for y in ys]
-    if len(xs) != len(ys) or not len(xs):
-        raise ValueError("xs and ys must be equal-length, nonempty sequences")
     _checked(path, "series", (x_label, y_label), (xs, ys), "point")
-    margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
-    plot_w = _SVG_WIDTH - margin_left - margin_right
-    plot_h = _SVG_HEIGHT - margin_top - margin_bottom
-    x_min, x_max, at_x = _axis(xs, lambda f: margin_left + f * plot_w)
-    y_min, y_max, at_y = _axis(ys, lambda f: margin_top + (1.0 - f) * plot_h)
+    if not len(xs):
+        raise ValueError(f"{Path(path).name}: no points to plot")
+    x_min, x_max, at_x = _axis(xs, lambda f: _PLOT_LEFT + f * _PLOT_WIDTH)
+    y_min, y_max, at_y = _axis(ys, lambda f: _PLOT_TOP + (1.0 - f) * _PLOT_HEIGHT)
     kept = _m4(xs, ys, at_x)
     px, py = ((at(v[kept]).tolist() if hasattr(kept, "dtype") else [at(v[i]) for i in kept])
               for at, v in ((at_x, xs), (at_y, ys)))
     points = ("%.6g,%.6g " * len(px) % tuple(itertools.chain.from_iterable(zip(px, py))))[:-1]
-    x0, x1 = margin_left, margin_left + plot_w
-    y0, y1 = margin_top, margin_top + plot_h
-    lines = [
+    Path(path).write_text("\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
-        f'<text x="{_SVG_WIDTH / 2:.6g}" y="24" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{title}</text>',
-        f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>',
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
-        f'<text x="{x0}" y="{y1 + 18}" text-anchor="middle" font-size="11" '
-        f'font-family="sans-serif">{x_min:.6g}</text>',
-        f'<text x="{x1}" y="{y1 + 18}" text-anchor="middle" font-size="11" '
-        f'font-family="sans-serif">{x_max:.6g}</text>',
-        f'<text x="{x0 - 6}" y="{y1 + 4}" text-anchor="end" font-size="11" '
-        f'font-family="sans-serif">{y_min:.6g}</text>',
-        f'<text x="{x0 - 6}" y="{y0 + 4}" text-anchor="end" font-size="11" '
-        f'font-family="sans-serif">{y_max:.6g}</text>',
-        f'<text x="{(x0 + x1) / 2:.6g}" y="{_SVG_HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">{x_label}</text>',
-        f'<text x="16" y="{(y0 + y1) / 2:.6g}" text-anchor="middle" font-size="12" '
-        f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) / 2:.6g})">{y_label}</text>',
+        _text(_SVG_WIDTH // 2, 24, "middle", 15, title),
+        f'<line x1="{_PLOT_LEFT}" y1="{_PLOT_BOTTOM}" x2="{_PLOT_RIGHT}" y2="{_PLOT_BOTTOM}" '
+        'stroke="black"/>',
+        f'<line x1="{_PLOT_LEFT}" y1="{_PLOT_TOP}" x2="{_PLOT_LEFT}" y2="{_PLOT_BOTTOM}" '
+        'stroke="black"/>',
+        _text(_PLOT_LEFT, _PLOT_BOTTOM + 18, "middle", 11, f"{x_min:.6g}"),
+        _text(_PLOT_RIGHT, _PLOT_BOTTOM + 18, "middle", 11, f"{x_max:.6g}"),
+        _text(_PLOT_LEFT - 6, _PLOT_BOTTOM + 4, "end", 11, f"{y_min:.6g}"),
+        _text(_PLOT_LEFT - 6, _PLOT_TOP + 4, "end", 11, f"{y_max:.6g}"),
+        _text((_PLOT_LEFT + _PLOT_RIGHT) // 2, _SVG_HEIGHT - 12, "middle", 12, x_label),
+        _text(16, (_PLOT_TOP + _PLOT_BOTTOM) // 2, "middle", 12, y_label,
+              f' transform="rotate(-90 16 {(_PLOT_TOP + _PLOT_BOTTOM) // 2})"'),
         f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{points}"/>',
-        "</svg>",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        "</svg>\n"]), encoding="utf-8", newline="\n")

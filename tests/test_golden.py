@@ -1,11 +1,12 @@
-"""Golden reference outputs: fixed CLI runs must reproduce their CSV/JSON.
+"""Golden reference outputs: fixed CLI runs must reproduce their CSV, JSON and SVG.
 
 The files under tests/golden/ pin the numbers while refactors land.  They were
 written by the code that preceded the single-numerics-core refactor, so a
 refactor that changes the arithmetic shows up here as a difference.
 Byte-exact is the default.  A set whose arithmetic was changed on purpose
 opts into a per-value comparison (TOLERANCES); the golden files themselves
-stay as written.  Regenerate them only for a deliberate output change:
+stay as written.  The plots (.svg), added later, are compared byte for byte in
+both comparisons.  Regenerate them only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -51,7 +52,7 @@ TOLERANCES = {"frenet_helix": _FRENET_BOUNDS, "frenet_reorth": _FRENET_BOUNDS}
 
 def _outputs(directory: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes()
-            for path in sorted(directory.iterdir()) if path.suffix in (".csv", ".json")}
+            for path in sorted(directory.iterdir()) if path.suffix in (".csv", ".json", ".svg")}
 
 
 def _rerun(name: str, out: Path) -> tuple[dict[str, bytes], dict[str, bytes]]:
@@ -114,7 +115,7 @@ def test_rerun_is_within_bounds_of_golden(name, tmp_path):
     bounds = TOLERANCES[name]
     for file_name, data in expected.items():
         where = f"{name}/{file_name}"
-        if file_name == "manifest.json":
+        if file_name == "manifest.json" or file_name.endswith(".svg"):
             assert actual[file_name] == data, f"{where} differs from the golden file"
         elif file_name.endswith(".csv"):
             _assert_csv_close(actual[file_name], data, bounds, where)

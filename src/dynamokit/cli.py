@@ -30,7 +30,7 @@ _FORMATS = ("csv", "json", "svg")
 # Largest row count a table flag may request; each row costs work and memory
 # in the kernel and in every writer, so larger requests are rejected up front.
 MAX_TABLE_ROWS = 10**6
-_TABLE_FLAGS = ("nodes", "growth-steps", "orbit-steps")
+_TABLE_FLAGS = ("nodes", "growth-steps", "orbit-steps", "eta")
 # Largest step times rotation rate at which classical RK4 does not amplify the frame
 _RK4_STABLE = 2.0 * math.sqrt(2.0)
 
@@ -202,8 +202,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             parameters[key] = default
         if converter is float and not math.isfinite(parameters[key]):
             raise InputError(f"--{key} must be finite, got {parameters[key]!r}")
-        if key in _TABLE_FLAGS and parameters[key] > MAX_TABLE_ROWS:
-            raise InputError(f"--{key} must be at most {MAX_TABLE_ROWS}, got {parameters[key]}")
+        rows = len(parameters[key]) if key == "eta" else parameters[key]  # a row per eta
+        if key in _TABLE_FLAGS and rows > MAX_TABLE_ROWS:
+            raise InputError(f"--{key} must be at most {MAX_TABLE_ROWS}, got {rows}")
     # each format once, in csv,json,svg order, so equal runs write equal manifests
     return RunConfig(command, parameters, Path(out), tuple(f for f in _FORMATS if f in tokens))
 

@@ -252,35 +252,6 @@ def _gram_schmidt(y, s: float, defect: float, events: list) -> tuple[tuple, floa
             return y, defect
 
 
-def _dense_steps(e, profile: CurveProfile, flat, defects, arclengths, i: int, n_full: int,
-                 step: float, remainder: float, events: list) -> int:
-    """Steps y <- E y + y on the frame's nine Python floats from sample i, each with its defect
-    and event; a full step takes the given 3x3 E (E_1 after a chunk's event), any other its own
-    _step_matrix.  Given E, stops after the first clean full step, else at the end of the run."""
-    full = None if e is None else e.ravel().tolist()
-    n_steps, y, clean = len(arclengths) - 1, flat[i].tolist(), False
-    while i < n_steps and not (clean and full is not None):
-        coeffs = full
-        if full is None or i >= n_full:
-            h = step if i < n_full else remainder
-            coeffs = _step_matrix(profile, arclengths.item(i), h)
-        e00, e01, e02, e10, e11, e12, e20, e21, e22 = coeffs
-        t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
-        y = (e00 * t0 + e01 * n0 + e02 * b0 + t0, e00 * t1 + e01 * n1 + e02 * b1 + t1,
-             e00 * t2 + e01 * n2 + e02 * b2 + t2, e10 * t0 + e11 * n0 + e12 * b0 + n0,
-             e10 * t1 + e11 * n1 + e12 * b1 + n1, e10 * t2 + e11 * n2 + e12 * b2 + n2,
-             e20 * t0 + e21 * n0 + e22 * b0 + b0, e20 * t1 + e21 * n1 + e22 * b1 + b1,
-             e20 * t2 + e21 * n2 + e22 * b2 + b2)
-        i, defect = i + 1, _triad_defect(y)
-        if defect <= ORTHONORMALITY_TOL and not math.isfinite(sum(y)):
-            defect = math.nan  # max() passes over a NaN; the sum of entries near 1 does not
-        clean = defect <= ORTHONORMALITY_TOL
-        if not clean:
-            y, defect = _gram_schmidt(y, arclengths.item(i), defect, events)
-        flat[i], defects[i] = y, defect
-    return i
-
-
 def _step_matrix(profile: CurveProfile, s: float, h: float) -> list:
     """E = P - I of the RK4 step of length h from s as nine floats, rows t, n, b: the classical
     stages on I, kept apart from I so each entry is rounded relative to the increment, not to 1."""
@@ -312,12 +283,12 @@ def integrate_frame(
     re-orthonormalisation, recorded in the trajectory with the drift it removed.
 
     The RK4 step of y' = A y is linear: y -> E y + y, every E from _step_matrix.
-    A constant profile's full steps advance in chunks P^1..P^m y, P = I + E_1,
-    scanned for the first frame above the tolerance; m starts at 1, doubles after
-    a clean chunk up to 256 and never shrinks.  All other steps run in one scalar
-    loop on the frame's nine Python floats, each with its defect and event: a
-    variable profile's steps and the shortened final step with their own E, and
-    after a chunk's event, E_1 steps up to a clean one, where the scan resumes.
+    Each pass of one loop advances a constant profile's chunk P^1..P^m y, P = I + E_1,
+    up to the first frame above the tolerance, or takes one scalar step on the frame's
+    nine Python floats, and ends in one tail: Gram-Schmidt on a flagged frame, then its
+    store.  m starts at 1, doubles after a clean chunk up to 256 and never shrinks.
+    Scalar steps take E_1 after a chunk's event until one is clean, and their own E
+    on a variable profile and for the shortened final step.
     """
     if not all(map(math.isfinite, (s_start, s_end, step))):
         raise ValueError(f"s_start, s_end and step must be finite, got {s_start}, {s_end}, {step}")
@@ -345,12 +316,12 @@ def integrate_frame(
     defects = np.empty(n_steps + 1)
     frames[0] = initial.t, initial.n, initial.b
     defects[0] = initial.orthonormality_defect()
-    events, i, chunk, e1 = [], 0, 1, None
+    events, i, chunk, e1, clean, y = [], 0, 1, None, True, flat[0].tolist()
     if n_full and not (callable(profile.kappa) or callable(profile.tau)):
-        e1 = np.array(_step_matrix(profile, s_start, step)).reshape(3, 3)
-        increments = e1[None]  # E_k = P^k - I for k = 1, 2, ...
+        e1 = _step_matrix(profile, s_start, step)
+        increments = np.reshape(e1, (1, 3, 3))  # E_k = P^k - I for k = 1, 2, ...
     while i < n_steps:
-        if e1 is not None and i < n_full:
+        if clean and e1 is not None and i < n_full:
             m = min(chunk, n_full - i)
             while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
                 last = increments[-1]
@@ -358,16 +329,29 @@ def integrate_frame(
             y = frames[i]
             frames[i + 1:i + m + 1] = (increments[:m].reshape(-1, 3) @ y).reshape(m, 3, 3) + y
             defects[i + 1:i + m + 1] = _frame_defects(frames[i + 1:i + m + 1])
-            # the first frame above the tolerance, or with a NaN defect, ends the chunk
+            # k: the first frame above the tolerance, or with a NaN defect (so any non-finite one)
             k = int(np.argmin(defects[i + 1:i + m + 1] <= ORTHONORMALITY_TOL))
-            if defects.item(i + 1 + k) <= ORTHONORMALITY_TOL:
-                i, chunk = i + m, min(2 * chunk, _MAX_CHUNK)
-                continue
+            if defects.item(i + 1 + k) <= ORTHONORMALITY_TOL:  # none: the chunk ends clean
+                k, chunk = m - 1, min(2 * chunk, _MAX_CHUNK)
             i += 1 + k
-            # a non-finite frame has a non-finite defect, so only a flagged frame can be one
-            flat[i], defects[i] = _gram_schmidt(flat[i].tolist(), arclengths.item(i),
-                                                defects.item(i), events)
-        i = _dense_steps(e1, profile, flat, defects, arclengths, i, n_full, step, remainder, events)
+            y, defect = flat[i].tolist(), defects.item(i)
+        else:
+            e00, e01, e02, e10, e11, e12, e20, e21, e22 = (
+                e1 if e1 is not None and i < n_full
+                else _step_matrix(profile, arclengths.item(i), step if i < n_full else remainder))
+            t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
+            y = (e00 * t0 + e01 * n0 + e02 * b0 + t0, e00 * t1 + e01 * n1 + e02 * b1 + t1,
+                 e00 * t2 + e01 * n2 + e02 * b2 + t2, e10 * t0 + e11 * n0 + e12 * b0 + n0,
+                 e10 * t1 + e11 * n1 + e12 * b1 + n1, e10 * t2 + e11 * n2 + e12 * b2 + n2,
+                 e20 * t0 + e21 * n0 + e22 * b0 + b0, e20 * t1 + e21 * n1 + e22 * b1 + b1,
+                 e20 * t2 + e21 * n2 + e22 * b2 + b2)
+            i, defect = i + 1, _triad_defect(y)
+            if defect <= ORTHONORMALITY_TOL and not math.isfinite(sum(y)):
+                defect = math.nan  # max() passes over a NaN; the sum of entries near 1 does not
+        clean = defect <= ORTHONORMALITY_TOL
+        if not clean:
+            y, defect = _gram_schmidt(y, arclengths.item(i), defect, events)
+        flat[i], defects[i] = y, defect
     # every stored defect is taken after Gram-Schmidt, so each event's defect is above it
     max_defect = max([defects[1:].max(initial=0.0).item(), *(defect for _, defect in events)])
     for array in (arclengths, frames, defects):

@@ -22,6 +22,10 @@ _CSV_BLOCK_ROWS = 1024
 _SVG_WIDTH, _SVG_HEIGHT = 640, 440
 _PLOT_LEFT, _PLOT_RIGHT, _PLOT_TOP, _PLOT_BOTTOM = 70, 620, 40, 390
 _PLOT_WIDTH, _PLOT_HEIGHT = _PLOT_RIGHT - _PLOT_LEFT, _PLOT_BOTTOM - _PLOT_TOP
+# Plot text's markup escapes, and U+FFFD for each code point below U+10000 that XML 1.0
+# forbids: C0 controls other than TAB, LF and CR, surrogates, U+FFFE and U+FFFF
+_SVG_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkeys(
+    [*range(9), 11, 12, *range(14, 32), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF], "\ufffd")})
 
 __all__ = ["format_float", "json_dumps", "write_json", "write_csv", "write_svg_polyline"]
 
@@ -294,7 +298,7 @@ def _m4(xs, ys, at):
 
 def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
     """One line of plot text, its body escaped so that any title or label leaves valid XML."""
-    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    body = str(body).translate(_SVG_TEXT)
     return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}" '
             f'font-family="sans-serif"{extra}>{body}</text>')
 

@@ -651,6 +651,15 @@ class TestConfigAndDeterminism:
         assert flag in err and str(cli.MAX_TABLE_ROWS) in err
         assert not out.exists()
 
+    def test_eta_sweep_above_the_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the sweep writes a row per eta, so its length shares the table-row cap
+        monkeypatch.setattr(cli, "MAX_TABLE_ROWS", 3)
+        assert run("--command", "filament", "--out", str(tmp_path / "ok"), "--eta", "1,2,3") == 0
+        out = tmp_path / "x"
+        assert run("--command", "filament", "--out", str(out), "--eta", "1,2,3,4") == 2
+        assert capsys.readouterr().err == "error: --eta must be at most 3, got 4\n"
+        assert not out.exists()
+
 
 FLOAT_FLAGS = [(command, flag) for command, schema in cli.PARAM_SCHEMAS.items()
                for flag, (converter, *_) in schema.items() if converter is float]

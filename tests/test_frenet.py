@@ -486,25 +486,27 @@ class TestDenseEventSteps:
         np.testing.assert_array_equal(traj.frames, reference.frames)
         np.testing.assert_array_equal(traj.defects, reference.defects)
 
+    # kappa as a callable sends every step down the scalar path, each with its own _step_matrix
+    _SCALAR_COARSE = CurveProfile(kappa=lambda s: 3.0, tau=0.0)
+
     @staticmethod
-    def _dense_steps_with(monkeypatch, matrix):
-        """Let the dense loop step with this matrix in place of E = P - I."""
-        dense = frenet._dense_steps
-        monkeypatch.setattr(frenet, "_dense_steps", lambda e, *args: dense(np.array(matrix), *args))
+    def _steps_after_the_first_with(monkeypatch, matrix):
+        """Let every step but the one from s = 0 use this matrix in place of E = P - I."""
+        step_matrix, injected = frenet._step_matrix, np.ravel(matrix).tolist()
+        monkeypatch.setattr(frenet, "_step_matrix", lambda profile, s, h: (
+            step_matrix(profile, s, h) if s == 0.0 else injected))
 
     def test_non_finite_frame_in_dense_loop_is_rejected(self, monkeypatch):
-        self._dense_steps_with(monkeypatch, np.full((3, 3), math.nan))
-        # the first event, at s = 0.05, comes from the chunked scan; the dense loop takes step 2
+        self._steps_after_the_first_with(monkeypatch, np.full((3, 3), math.nan))
+        # the first event, at s = 0.05, comes from the real first step; step 2 turns NaN
         with pytest.raises(ValueError, match=r"frame is not finite at s = 0\.1$"):
-            integrate_frame(CurveProfile.constant(3.0, 0.0), 0.0, 1.0, 0.05,
-                            FrenetFrame.canonical())
+            integrate_frame(self._SCALAR_COARSE, 0.0, 1.0, 0.05, FrenetFrame.canonical())
 
     def test_nan_that_max_passes_over_is_an_event(self, monkeypatch):
         # t and n stay put and b turns NaN: the max() in the defect skips the NaN terms of b,
         # the other terms are within the tolerance, and Gram-Schmidt rebuilds b from t and n
-        self._dense_steps_with(monkeypatch, [[0.0] * 3, [0.0] * 3, [math.nan] * 3])
-        traj = integrate_frame(CurveProfile.constant(3.0, 0.0), 0.0, 1.0, 0.05,
-                               FrenetFrame.canonical())
+        self._steps_after_the_first_with(monkeypatch, [[0.0] * 3, [0.0] * 3, [math.nan] * 3])
+        traj = integrate_frame(self._SCALAR_COARSE, 0.0, 1.0, 0.05, FrenetFrame.canonical())
         defects = [d for _, d in traj.reorthonormalizations]
         assert len(defects) == 20 and defects[0] > ORTHONORMALITY_TOL
         assert all(math.isnan(d) for d in defects[1:])

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynamokit
 from dynamokit.reports import write_csv, write_svg_polyline
@@ -23,6 +25,23 @@ def test_plot_text_is_escaped_and_parses(tmp_path):
                        title="a < b & c", x_label="x<1", y_label="y > 0 & <1>")
     texts = [element.text for element in ET.parse(path).getroot().iter(_SVG + "text")]
     assert texts == ["a < b & c", "0", "2", "1", "9", "x<1", "y > 0 & <1>"]
+
+
+def test_plot_text_that_xml_forbids_reads_back_as_replacement_characters(tmp_path):
+    path = tmp_path / "p.svg"
+    write_svg_polyline(path, [0.0, 1.0], [1.0, 4.0], title="a\x01b", x_label="\ud800",
+                       y_label="\x00\t\ufffe\U0001f600")
+    texts = [element.text for element in ET.parse(path).getroot().iter(_SVG + "text")]
+    assert texts == ["a\ufffdb", "0", "1", "1", "4", "\ufffd", "\ufffd\t\ufffd\U0001f600"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(title=st.text(), x_label=st.text(), y_label=st.text())
+def test_any_plot_text_writes_an_svg_that_parses(tmp_path_factory, title, x_label, y_label):
+    path = tmp_path_factory.mktemp("plot") / "p.svg"
+    write_svg_polyline(path, [0.0, 1.0], [1.0, 4.0], title=title, x_label=x_label,
+                       y_label=y_label)
+    assert len(list(ET.parse(path).getroot().iter(_SVG + "text"))) == 7
 
 
 @pytest.mark.parametrize("as_array", [False, True], ids=["lists", "arrays"])

@@ -364,20 +364,22 @@ def accumulated_rotation_angle(trajectory: FrameTrajectory) -> float:
 
     Each step contributes the axis-angle magnitude of R = F1^T F0 where F
     stacks (t, n, b) as rows; summing avoids the mod-2pi folding a single
-    endpoint comparison would suffer.  The sum runs left to right.
+    endpoint comparison would suffer.  Every sum runs left to right: R[i][l] =
+    F1[0,i] F0[0,l] + F1[1,i] F0[1,l] + F1[2,i] F0[2,l], the trace R00 + R11 + R22,
+    the skew part's norm sqrt(sx sx + sy sy + sz sz), and the angles over the steps.
     """
     frames = trajectory.frames
     # angles[0] = 0 starts the running sum; blocks bound the temporaries at any length
     angles = np.zeros(len(frames))
     for start in range(0, len(frames) - 1, _ANGLE_BLOCK):
         block = frames[start:start + _ANGLE_BLOCK + 1]
-        rot = np.einsum("kji,kjl->kil", block[1:], block[:-1])
-        cos_term = (np.trace(rot, axis1=1, axis2=2) - 1.0) / 2.0
-        skew = 0.5 * np.stack(
-            (rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0], rot[:, 1, 0] - rot[:, 0, 1]),
-            axis=1,
-        )
-        angles[start + 1:start + len(block)] = np.arctan2(np.linalg.norm(skew, axis=1), cos_term)
+        f1, f0 = block[1:], block[:-1]
+        r = [[f1[:, 0, i] * f0[:, 0, l] + f1[:, 1, i] * f0[:, 1, l] + f1[:, 2, i] * f0[:, 2, l]
+              for l in range(3)] for i in range(3)]
+        cos_term = (r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0
+        sx, sy, sz = 0.5 * (r[2][1] - r[1][2]), 0.5 * (r[0][2] - r[2][0]), 0.5 * (r[1][0] - r[0][1])
+        angles[start + 1:start + len(block)] = np.arctan2(np.sqrt(sx * sx + sy * sy + sz * sz),
+                                                           cos_term)
     return float(np.add.accumulate(angles, out=angles)[-1])
 
 

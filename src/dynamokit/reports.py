@@ -120,7 +120,9 @@ def write_json(path: Path, obj) -> None:
         text = json_dumps(obj)
     except ValueError as exc:
         raise ValueError(f"{Path(path).name}: {exc}") from exc
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def _csv_field(x, empty: str = "") -> str:
@@ -135,16 +137,18 @@ def _csv_field(x, empty: str = "") -> str:
 
 @functools.cache
 def _cell_tables():
-    """Per 4-digit chunk its digits with a NUL hole after each, as a uint64, then the same with
-    trailing zeros NUL; per exponent from -300 to 299 the first and last 8 bytes of a cell."""
+    """Per 4-digit chunk its digits as a uint32, then the same with trailing zeros NUL; per
+    exponent from -300 to 299 the first and last 8 bytes of a cell, and its point's byte: byte
+    30, a NUL before a NUL, where the "0.000" prefix holds the point."""
     import numpy as np
     digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # 0000 to 9999
-    chunks = np.zeros((2, 10**4, 8), np.uint8)
-    chunks[:, :, ::2] = digits + 48
-    chunks[1, :, ::2] *= np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0
+    chunks = np.array([digits + 48] * 2)
+    chunks[1] *= np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0
     ends = [(("\0" + "0.000"[:1 - e]) * (-4 <= e < 0)).ljust(8, "\0")
             + (f"e{e:+03d}" * (e < -4 or e > 16)).ljust(5, "\0") + "," for e in range(-300, 300)]
-    return chunks.view(np.uint64).ravel(), np.array(ends, "S16").view(np.uint64).reshape(-1, 2)
+    point = [7 + e if 0 < e < 17 else 30 if -4 <= e < 0 else 7 for e in range(-300, 300)]
+    return (chunks.view(np.uint32).ravel(), np.array(ends, "S16").view(np.uint64).reshape(-1, 2),
+            np.array(point))
 
 
 @functools.cache
@@ -161,7 +165,8 @@ def _float_rows(blocks) -> bytes:
     D = round(|v| * 10**(16 - e)), e = floor(log10|v|), is Dekker's TwoProduct of |v| and a
     double-double 10**(16 - e), its tail within 2**-45 while D < 2**57.  format() writes a cell
     outside (1e-280, 1e280), within 2**-30 of a tie, or whose D has not 17 digits (e off by one).
-    A cell's 48 bytes hold sign, "0.000", digits each with a hole for a point, "e-280", separator.
+    A cell's 32 bytes hold sign, "0.000", lead digit, point, 16 digits, "e-280", separator; for
+    1 <= e <= 16 the first e of the 16 take the point's byte, and it follows them.
     """
     import numpy as np
     x = np.column_stack(blocks).astype(np.float64, copy=False).ravel()
@@ -178,24 +183,26 @@ def _float_rows(blocks) -> bytes:
     exact = (D > 10**16) & (D < 10**17) | (D == 10**16) & (lo == 0) & (tail == 0)  # 10**e itself
     slow = np.flatnonzero(~(inside & exact & (np.abs(frac - 0.5) >= 2**-30) | (x == 0)))
     del inside, a, hi, lo, p, a_split, hi_split, ah, hh, tail, frac, exact  # before the cells
-    chunks, ends = _cell_tables()
+    chunks, ends, point = _cell_tables()
     rest, chunk = D - D // 10**16 * 10**16, np.empty((len(x), 4), np.int64)
     for k, scale in enumerate((10**12, 10**8, 10**4, 1)):
         chunk[:, k] = rest // scale
         rest = rest - chunk[:, k] * scale
         chunk[:, k] += (rest == 0) * 10**4  # every later digit is zero: strip the chunk's zeros
-    words = np.empty((len(x), 6), np.uint64)
-    words[:, ::5], words[:, 1:5] = ends.take(e + 300, axis=0), chunks.take(chunk)
+    words = np.empty((len(x), 4), np.uint64)
+    words[:, ::3], words.view(np.uint32)[:, 2:6] = ends.take(e + 300, axis=0), chunks.take(chunk)
     cell = words.view(np.uint8)
     cell[:, 0], cell[:, 6] = np.signbit(x) * np.uint8(45), D // 10**16 + 48
-    at = np.arange(7, len(x) * 48, 48) + 2 * np.where(e < 0, 16, e) * ((e >= -4) & (e < 17))
+    mid = np.flatnonzero((e > 0) & (e < 17))  # the first e of the 16 digits take the point's byte
+    cell[mid, 7:23] = np.where(np.arange(16) < e[mid, None], cell[mid, 8:24], cell[mid, 7:23])
+    at = np.arange(0, len(x) * 32, 32) + point.take(e + 300)
     flat = cell.ravel()
     flat[at] = (flat[at + 1] != 0) * np.uint8(46)  # the point, if a digit follows it
-    whole = np.flatnonzero((e > 0) & (e < 17) & (flat[at] == 0))  # an integer's zeros come back
-    cell[whole, 6:40:2] |= (np.arange(17) <= e[whole, None]) * np.uint8(48)
-    cell[slow, :45] = np.array([format(v, FLOAT_FORMAT) for v in x[slow].tolist()],
-                               "S45").view(np.uint8).reshape(-1, 45)
-    cell.reshape(len(blocks[0]), len(blocks), 48)[:, -1, 45:47] = 13, 10
+    whole = mid[flat[at[mid]] == 0]  # an integer's zeros come back
+    cell[whole, 6:23] |= (np.arange(17) <= e[whole, None]) * np.uint8(48)
+    cell[slow, :29] = np.array([format(v, FLOAT_FORMAT) for v in x[slow].tolist()],
+                               "S29").view(np.uint8).reshape(-1, 29)
+    cell.reshape(len(blocks[0]), len(blocks), 32)[:, -1, 29:31] = 13, 10
     return cell.tobytes().translate(None, b"\0")  # the NULs: all that %g leaves out
 
 

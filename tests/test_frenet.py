@@ -403,6 +403,71 @@ class TestPropagatorMatchesStageLoop:
         assert [frame.orthonormality_defect() for _, frame in traj.samples] == traj.defects.tolist()
 
 
+def einsum_rotation_angle(frames: np.ndarray) -> float:
+    """The rotation angle through np.einsum, np.trace and np.linalg.norm: the reference whose
+    bits the explicit sums of accumulated_rotation_angle keep."""
+    rot = np.einsum("kji,kjl->kil", frames[1:], frames[:-1])
+    cos_term = (np.trace(rot, axis1=1, axis2=2) - 1.0) / 2.0
+    skew = 0.5 * np.stack(
+        (rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0], rot[:, 1, 0] - rot[:, 0, 1]),
+        axis=1,
+    )
+    angles = np.concatenate([[0.0], np.arctan2(np.linalg.norm(skew, axis=1), cos_term)])
+    return float(np.add.accumulate(angles)[-1])
+
+
+def python_rotation_angle(frames: np.ndarray) -> float:
+    """The same angle from Python floats, every sum written out left to right; only arctan2
+    stays numpy's, which a platform's libm atan2 need not match bit for bit."""
+    norms, cos_terms = [], []
+    for f1, f0 in zip(frames[1:].tolist(), frames[:-1].tolist()):
+        r = [[f1[0][i] * f0[0][l] + f1[1][i] * f0[1][l] + f1[2][i] * f0[2][l] for l in range(3)]
+             for i in range(3)]
+        cos_terms.append((r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0)
+        sx, sy, sz = 0.5 * (r[2][1] - r[1][2]), 0.5 * (r[0][2] - r[2][0]), 0.5 * (r[1][0] - r[0][1])
+        norms.append(math.sqrt(sx * sx + sy * sy + sz * sz))
+    total = 0.0
+    for angle in np.arctan2(norms, cos_terms).tolist():
+        total += angle
+    return total
+
+
+def orthogonal_frames(rng, count: int, spread: float) -> np.ndarray:
+    """count random orthogonal triads: independent for spread 1, else each near the last."""
+    steps = np.eye(3) + spread * rng.standard_normal((count, 3, 3))
+    return np.linalg.qr(np.cumsum(steps, axis=0) if spread < 1.0 else steps)[0]
+
+
+def trajectory_of(frames: np.ndarray) -> frenet.FrameTrajectory:
+    return frenet.FrameTrajectory(np.arange(len(frames), dtype=float), frames,
+                                  np.zeros(len(frames)), [], 0.0)
+
+
+class TestRotationAngleBits:
+    """accumulated_rotation_angle keeps the bits of the einsum/trace/norm angle, across and
+    within its blocks of _ANGLE_BLOCK steps, on random frames and on the CLI's trajectories."""
+
+    @pytest.mark.parametrize("count", [1, 2, 4096, 4097, 4098, 8193])
+    @pytest.mark.parametrize("spread", [0.01, 1.0])
+    def test_random_orthogonal_stacks(self, count, spread):
+        frames = orthogonal_frames(np.random.default_rng(count), count, spread)
+        assert accumulated_rotation_angle(trajectory_of(frames)) == einsum_rotation_angle(frames)
+
+    @pytest.mark.parametrize("kappa, tau, span, step", [
+        (1.0, 1.0, 10.0, 1e-3), (0.7, -1.3, 5.0, 1e-2), (3.0, 0.0, 100.0, 0.05)])
+    def test_cli_trajectories(self, kappa, tau, span, step):
+        traj = integrate_frame(CurveProfile.constant(kappa, tau), 0.0, span, step,
+                               FrenetFrame.canonical())
+        assert accumulated_rotation_angle(traj) == einsum_rotation_angle(traj.frames)
+
+    @pytest.mark.parametrize("spread", [0.01, 1.0])
+    def test_python_float_sums(self, spread):
+        # one step per trajectory, so that no step's last bit is lost in a longer sum
+        frames = orthogonal_frames(np.random.default_rng(3), 300, spread)
+        for pair in np.stack([frames[:-1], frames[1:]], axis=1):
+            assert accumulated_rotation_angle(trajectory_of(pair)) == python_rotation_angle(pair)
+
+
 class TestStepMatrix:
     @settings(max_examples=200)
     @example(kappa=1.0, tau=1.0, rate=1e-3)

@@ -406,6 +406,23 @@ class TestFloatArrayCells:
         assert "none" not in reasons
         assert len(taken) - reasons.count("window") < 0.01 * len(values)  # inside, rare
 
+    @pytest.mark.parametrize("columns", [1, 3, 7, 11])
+    def test_point_among_the_digits(self, tmp_path, columns):
+        # 1 <= e <= 16: the point follows the (e+1)-th digit, or an integer's zeros come back
+        powers = np.array([10.0**k for k in range(1, 18)])
+        values = np.concatenate([
+            [10.0, 100.0, 1200.0, 1e16, 120000.0, 9007199254740992.0, 99999999999999984.0],
+            [12.5, 100.25, 1234.5, 99.99, 65536.125, 1000000.0000000001],
+            [k / 10.0**j for k in (12, 123, 1001, 98765, 4503599627370497) for j in range(4)],
+            *_ulp_neighbours(powers, 3)])
+        values = np.concatenate([values, -values, [-0.0]])
+        values = np.resize(values, len(values) + -len(values) % columns)  # whole rows
+        write_csv(tmp_path / "t.csv", [f"c{k}" for k in range(columns)],
+                  *values.reshape(-1, columns).T)
+        rows = (tmp_path / "t.csv").read_bytes().decode().split("\r\n")[1:-1]
+        assert [row.split(",") for row in rows] == [[format(value, ".17g") for value in row]
+                                                    for row in values.reshape(-1, columns).tolist()]
+
     def test_float32_and_float16_widen_as_tolist_does(self, tmp_path):
         rng = np.random.default_rng(5)
         narrow = rng.integers(0, 2**32, 3000, dtype=np.uint64).astype(np.uint32).view(np.float32)

@@ -18,7 +18,6 @@ import json
 import math
 import shutil
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,8 +219,8 @@ def _canonical(value) -> str:
 def _emit(cfg: RunConfig, name: str, results: dict, csv_specs, svg_specs, derived) -> None:
     """Write the csv/json/svg files a runner returned, then manifest.json.
 
-    Every file is written into a staging directory inside the output directory
-    and moved into place only after all writers succeeded, the manifest last.
+    Every file is written into <out>/.staging, removed first with any .staging-* an older
+    version left, and moved into place only after all writers succeeded, the manifest last.
     Before the move, every <command>_* csv/json/svg file of an earlier run
     that this run does not write is deleted, so the outputs beside a manifest
     are exactly the ones it describes.
@@ -235,7 +234,10 @@ def _emit(cfg: RunConfig, name: str, results: dict, csv_specs, svg_specs, derive
     if derived:
         manifest["derived"] = derived
     manifest_path = cfg.output_dir / "manifest.json"
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=cfg.output_dir))
+    staging = cfg.output_dir / ".staging"
+    for path in [staging, *cfg.output_dir.glob(".staging-*")]:
+        shutil.rmtree(path, ignore_errors=True)
+    staging.mkdir()
     try:
         if "json" in cfg.formats:
             write_json(staging / f"{cfg.command}_{name}.json",

@@ -55,12 +55,12 @@ class MetricDegeneracyWarning(UserWarning):
 class CurveProfile:
     """Curvature/torsion profile kappa(s), tau(s) with optional analytic dkappa/ds.
 
-    kappa, tau and kappa_prime accept a constant or a callable of arclength;
-    the entries are kept as given, and a constant is converted to float once,
-    at construction.  When no analytic derivative is supplied, dkappa/ds is 0
-    for a constant kappa and otherwise the central difference
-    (kappa(s+h) - kappa(s-h)) / 2h with h = 1e-5, which is consistent with
-    kappa to order h^2.
+    kappa, tau and kappa_prime accept a constant or a callable of arclength.
+    A constant entry is stored as a float and a callable one as given; the
+    profile holds nothing else, so it pickles whenever its callables do.
+    When no analytic derivative is supplied, dkappa/ds is 0 for a constant
+    kappa and otherwise the central difference (kappa(s+h) - kappa(s-h)) / 2h
+    with h = 1e-5, which is consistent with kappa to order h^2.
     """
 
     kappa: object
@@ -68,17 +68,10 @@ class CurveProfile:
     kappa_prime: object = None
 
     def __post_init__(self):
-        kappa_fn, tau_fn, kp_fn = (value if value is None or callable(value)
-                                   else (lambda s, const=float(value): const)
-                                   for value in (self.kappa, self.tau, self.kappa_prime))
-        if kp_fn is None and not callable(self.kappa):
-            kp_fn = lambda s: 0.0  # noqa: E731 - constant curvature
-        elif kp_fn is None:
-            h = _FD_STEP
-            kp_fn = lambda s: (kappa_fn(s + h) - kappa_fn(s - h)) / (2.0 * h)  # noqa: E731
-        object.__setattr__(self, "_kappa_fn", kappa_fn)
-        object.__setattr__(self, "_tau_fn", tau_fn)
-        object.__setattr__(self, "_kappa_prime_fn", kp_fn)
+        for name in ("kappa", "tau", "kappa_prime"):
+            value = getattr(self, name)
+            if value is not None and not callable(value):
+                object.__setattr__(self, name, float(value))
 
     @classmethod
     def constant(cls, kappa0: float, tau0: float) -> "CurveProfile":
@@ -88,19 +81,22 @@ class CurveProfile:
     @property
     def tau_constant(self) -> float | None:
         """The constant torsion value when tau was supplied as a constant, else None."""
-        return None if callable(self.tau) else self.tau_at(0.0)
+        return None if callable(self.tau) else self.tau
 
     def kappa_at(self, s: float) -> float:
-        k = self._kappa_fn(s)
+        k = self.kappa(s) if callable(self.kappa) else self.kappa
         if k < 0.0:
             raise ValueError(f"curvature must be nonnegative, got kappa({s!r}) = {k!r}")
         return k
 
     def tau_at(self, s: float) -> float:
-        return self._tau_fn(s)
+        return self.tau(s) if callable(self.tau) else self.tau
 
     def kappa_prime_at(self, s: float) -> float:
-        return self._kappa_prime_fn(s)
+        kappa, kappa_prime, h = self.kappa, self.kappa_prime, _FD_STEP
+        if kappa_prime is None:
+            return (kappa(s + h) - kappa(s - h)) / (2.0 * h) if callable(kappa) else 0.0
+        return kappa_prime(s) if callable(kappa_prime) else kappa_prime
 
 
 def _frame_defects(frames: np.ndarray) -> np.ndarray:
@@ -118,7 +114,7 @@ def _frame_defects(frames: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(dots, out=dots), axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrenetFrame:
     """Right-handed orthonormal triad (t, n, b), validated on construction.
 
@@ -197,7 +193,7 @@ class _FrameSamples(Sequence):
         return float(trajectory.arclengths[index]), FrenetFrame(*trajectory.frames[index])
 
 
-@dataclass
+@dataclass(eq=False)
 class FrameTrajectory:
     """Frame samples along arclength plus the re-orthonormalisation event log.
 

@@ -221,7 +221,7 @@ def log_radial_check(f, grid: RadialGrid) -> float:
     return float(np.max(np.abs(defect)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TubeFlowField:
     """Tube flow sampled on a radial grid: toroidal v_s(r), poloidal v_theta(r).
 

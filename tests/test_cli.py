@@ -423,6 +423,15 @@ class TestRerunIntoOneDirectory:
         assert run("--command", "frenet", "--out", str(out), "--step", "1e-9") == 2
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("leftover", [".staging", ".staging-64p53ep2"])
+    def test_run_removes_the_staging_directory_an_interrupted_run_left(self, tmp_path, leftover):
+        out = tmp_path / "d"
+        (out / leftover).mkdir(parents=True)
+        (out / leftover / "frenet_frames.csv").write_text("t1,t2\n0.5,")
+        assert run("--command", "frenet", "--out", str(out), "--s-end", "0.5") == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "frenet_defect.svg", "frenet_frames.csv", "frenet_report.json", "manifest.json"]
+
     def test_other_command_replaces_outputs_and_keeps_unrelated_files(self, tmp_path):
         out = tmp_path / "d"
         out.mkdir()

@@ -660,6 +660,13 @@ class TestCurveProfile:
         assert profile.kappa_prime_at(1.3) == 0.0
         assert profile.tau_constant == 0.5
 
+    def test_entries_are_all_it_holds_constants_as_floats(self):
+        profile = CurveProfile(kappa=2, tau=np.float32(0.5), kappa_prime=0)
+        assert vars(profile) == {"kappa": 2.0, "tau": 0.5, "kappa_prime": 0.0}
+        assert {type(entry) for entry in vars(profile).values()} == {float}
+        assert vars(CurveProfile(kappa=math.exp, tau=0.0)) == {
+            "kappa": math.exp, "tau": 0.0, "kappa_prime": None}
+
     def test_analytic_derivative_wins_over_fd(self):
         profile = CurveProfile(kappa=lambda s: s * s, tau=0.0, kappa_prime=lambda s: 2.0 * s)
         assert profile.kappa_prime_at(3.0) == 6.0

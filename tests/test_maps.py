@@ -81,6 +81,11 @@ class TestConstructors:
         for tau0 in (-3.5, -1.0, 0.0, 0.7, 12.0):
             assert make_thin_tube_map(tau0).determinant == 1.0
 
+    def test_cat_map_matrix_is_a_float64_array(self):
+        matrix = make_cat_map().matrix
+        assert matrix.dtype == np.float64
+        assert matrix.tolist() == [[2.0, 1.0], [1.0, 1.0]]
+
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError):
             LinearTorusMap(1.0, math.inf, 0.0, 1.0)

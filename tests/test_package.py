@@ -1,9 +1,14 @@
+import copy
+import dataclasses
 import json
+import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dynamokit
@@ -37,6 +42,43 @@ COMMAND_MODULES = {
     "filament": {"cli", "reports", "filament", "maps"},
     "frenet": {"cli", "reports", "frenet"},
 }
+
+
+def _kappa_of_s(s):
+    return 2.0 + math.sin(s)
+
+
+def _tau_of_s(s):
+    return 0.5 * s
+
+
+def _kappa_prime_of_s(s):
+    return math.cos(s)
+
+
+def _value_instances() -> list:
+    """One instance of every public dataclass, two of CurveProfile (constant and callable)."""
+    grid = tube.RadialGrid(0.1, 1.0, 16, "linear")
+    curve = frenet.CurveProfile.constant(1.0, 0.5)
+    params = filament.FilamentParams(0.1, 1.0, 0.5, 1.0, 0.2, 0.3, 1.0)
+    return [
+        maps.make_cat_map(), maps.classify(maps.make_cat_map()), maps.TorusPoint(0.25, 1.5),
+        maps.FieldVector(1.0, -2.0),
+        curve, frenet.CurveProfile(_kappa_of_s, _tau_of_s),
+        frenet.CurveProfile(_kappa_of_s, 0.25, _kappa_prime_of_s),
+        frenet.FrenetFrame.canonical(),
+        frenet.integrate_frame(curve, 0.0, 0.1, 0.01, frenet.FrenetFrame.canonical()),
+        grid, tube.TubeFlowField.eigen_ansatz(grid, 2.0), tube.eliminate_eigenvalue(),
+        params, filament.build_filament_matrix(params),
+        filament.solve_growth_rate(0.1, params.A, params.B, params.C),
+    ]
+
+
+def _state(value) -> dict:
+    """Every attribute an instance holds: its __dict__, or its fields when slotted."""
+    if hasattr(value, "__dict__"):
+        return vars(value)
+    return {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
 
 
 def _fresh_python(script: str, *args: str) -> str:
@@ -182,3 +224,45 @@ def test_unknown_name_raises_attribute_error_naming_it(name):
         getattr(dynamokit, name)
     with pytest.raises(ImportError, match=name):
         exec(f"from dynamokit import {name}", {})
+
+
+def test_matrix_loads_numpy_only_when_read():
+    script = (
+        "import sys\n"
+        "import dynamokit.maps\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "dynamokit.maps.make_cat_map().matrix\n"
+        "print(loaded, 'numpy' in sys.modules)\n"
+    )
+    assert _fresh_python(script).split() == ["False", "True"]
+
+
+def test_value_instances_cover_every_public_dataclass():
+    public = {name for name in dynamokit.__all__
+              if dataclasses.is_dataclass(getattr(dynamokit, name))}
+    assert {type(value).__name__ for value in _value_instances()} == public
+
+
+@pytest.mark.parametrize("value", _value_instances(), ids=lambda value: type(value).__name__)
+def test_value_types_pickle_deep_copy_compare_and_hash(value):
+    # numpy drops the read-only flag of an array on both round trips, so it is not checked
+    assert value == value
+    hash(value)
+    by_identity = type(value).__eq__ is object.__eq__
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        state, twin_state = _state(value), _state(twin)
+        assert twin_state.keys() == state.keys()
+        for key, item in state.items():
+            assert (np.array_equal(twin_state[key], item) if isinstance(item, np.ndarray)
+                    else twin_state[key] == item), key
+        assert (twin != value) if by_identity else (twin == value and hash(twin) == hash(value))
+
+
+@pytest.mark.parametrize("profile", [value for value in _value_instances()
+                                     if isinstance(value, frenet.CurveProfile)])
+def test_curve_profile_round_trip_keeps_its_values(profile):
+    twin = pickle.loads(pickle.dumps(profile))
+    for s in (0.0, 0.7):
+        assert (twin.kappa_at(s), twin.tau_at(s), twin.kappa_prime_at(s)) \
+            == (profile.kappa_at(s), profile.tau_at(s), profile.kappa_prime_at(s))

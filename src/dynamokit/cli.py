@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import shutil
@@ -365,36 +366,38 @@ def run_filament_sweep(cfg: RunConfig) -> tuple:
         v0=p["v0"], tau=p["tau"], gamma_ref=p["gamma-ref"],
     )
     coef_a, coef_b, coef_c = params.A, params.B, params.C
-    solutions = [filament.solve_growth_rate(eta, coef_a, coef_b, coef_c) for eta in etas]
-
-    samples = [(eta, sol.roots[0]) for eta, sol in zip(etas, solutions) if sol.roots]
-    tau = p["tau"]
-    distinct = len({eta for eta, _ in samples})
-    if tau == 0.0 or distinct >= 3:
-        verdict = filament.classify_dynamo(samples, tau)
-    else:
-        verdict = None
+    # the x roots do not depend on eta: one solve, then each eta's rates are eta / x
+    solution = filament.solve_growth_rate(etas[0], coef_a, coef_b, coef_c)
+    columns = ([], [], [], [])  # re and im of gamma_1 and gamma_2, None a blank cell
+    regimes, notes = [], set(solution.notes)
+    for eta in etas:
+        rates, dropped = filament._rates(eta, solution.x_roots)
+        cells = [part for gamma in rates for part in (gamma.real, gamma.imag)]
+        for column, cell in itertools.zip_longest(columns, cells):
+            column.append(cell)
+        regimes.append(filament.REGIME_DEGENERATE if dropped or not solution.x_roots
+                       else filament.REGIME_SLOW)
+        notes.update(dropped)
+    xs = [eta for eta, gamma in zip(etas, columns[0]) if gamma is not None]
+    ys = [gamma for gamma in columns[0] if gamma is not None]
+    verdict = (filament.classify_dynamo(zip(xs, ys), p["tau"])
+               if p["tau"] == 0.0 or len(set(xs)) >= 3 else None)
     induction = filament.build_filament_matrix(params)
     results = {
         "coefficients": {"A": coef_a, "B": coef_b, "C": coef_c},
         "matrix_at_first_eta": [[induction.m11, 0.0], [0.0, induction.m22]],
         "m33_at_first_eta": induction.m33,
-        "tau": tau,
+        "tau": p["tau"],
         "verdict": verdict,
-        "notes": sorted({note for sol in solutions for note in sol.notes}),
+        "notes": sorted(notes),
     }
-    # each eta has 0, 1 or 2 roots; a missing one is None, which has no .real: blank cells
-    pairs = [(*sol.roots, None, None)[:2] for sol in solutions]
-    root_columns = [[getattr(pair[i], part, None) for pair in pairs]
-                    for i in (0, 1) for part in ("real", "imag")]
     csv_specs = [
         ("sweep", ["eta", "re_gamma_1", "im_gamma_1", "re_gamma_2", "im_gamma_2", "regime"],
-         (etas, *root_columns, [sol.regime for sol in solutions])),
+         (etas, *columns, regimes)),
     ]
     svg_specs, derived = [], None
-    if samples:
-        svg_specs.append(("sweep", [eta for eta, _ in samples], [g.real for _, g in samples],
-                          "growth rate vs diffusivity", "eta", "Re gamma_1"))
+    if xs:
+        svg_specs.append(("sweep", xs, ys, "growth rate vs diffusivity", "eta", "Re gamma_1"))
     elif "svg" in cfg.formats:  # a plot needs a point; the manifest says why there is none
         derived = {"svg_omitted": "no eta of the sweep has a growth rate"}
     return "report", results, csv_specs, svg_specs, derived

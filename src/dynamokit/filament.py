@@ -173,6 +173,21 @@ def _relative_residual(x, a, b, c) -> float:
     return abs(determinant_condition_residual(x, a, b, c)) / scale
 
 
+def _rates(eta: float, x_roots) -> tuple[tuple[complex, ...], tuple[str, ...]]:
+    """Growth rates eta/x of one eta, and a note per x = 0 root omitted; see solve_growth_rate."""
+    if not math.isfinite(eta):
+        raise ValueError("parameter eta must be finite")
+    if eta < 0.0:
+        raise ValueError("diffusivity eta must be nonnegative")
+    if eta == 0.0:
+        return (0j,) * len(x_roots), ()
+    rates = tuple(eta / x for x in x_roots if x != 0)
+    if 0 in rates:  # eta / gamma in the residuals would divide by zero
+        raise ValueError(f"eta = {eta!r}: the growth rate eta / x underflows to 0")
+    note = "x = eta/gamma root at 0 with eta > 0: growth rate diverges, omitted"
+    return rates, (note,) * (len(x_roots) - len(rates))
+
+
 def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateResult:
     """Solve (BA) x^2 + (BAC) x + C = 0 for x = eta/gamma, returning gamma = eta/x per root.
 
@@ -183,37 +198,17 @@ def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateRes
     and omitted from the roots.  BA = 0 leaves no quadratic: the condition
     degenerates to C = 0, labelled degenerate either way.
     """
-    if not math.isfinite(eta):
-        raise ValueError("parameter eta must be finite")
-    if eta < 0.0:
-        raise ValueError("diffusivity eta must be nonnegative")
     ba = b * a
+    x_roots = () if ba == 0.0 else _quadratic_roots(ba, ba * c, c, key=lambda z: (-z.real, -z.imag))
+    roots, notes = _rates(eta, x_roots)
     if ba == 0.0:
-        note = (
-            "BA = 0: determinant condition reduces to C = 0, "
-            + ("identically satisfied" if c == 0.0 else "unsatisfiable")
-        )
-        return GrowthRateResult((), REGIME_DEGENERATE, (), (), (note,))
-    x_roots = _quadratic_roots(ba, ba * c, c, key=lambda z: (-z.real, -z.imag))
-    if eta == 0.0:
-        residuals = tuple(_relative_residual(x, a, b, c) for x in x_roots)
-        return GrowthRateResult((0j, 0j), REGIME_SLOW, residuals, x_roots)
-    roots: list[complex] = []
-    residuals: list[float] = []
-    notes: list[str] = []
-    for x in x_roots:
-        if x == 0:
-            notes.append(
-                "x = eta/gamma root at 0 with eta > 0: growth rate diverges, omitted"
-            )
-            continue
-        gamma = eta / x
-        if gamma == 0:  # eta / gamma below would divide by zero
-            raise ValueError(f"eta = {eta!r}: the growth rate eta / x underflows to 0")
-        roots.append(gamma)
-        residuals.append(_relative_residual(eta / gamma, a, b, c))
-    regime = REGIME_DEGENERATE if notes else REGIME_SLOW
-    return GrowthRateResult(tuple(roots), regime, tuple(residuals), x_roots, tuple(notes))
+        notes = ("BA = 0: determinant condition reduces to C = 0, "
+                 + ("identically satisfied" if c == 0.0 else "unsatisfiable"),)
+    # each residual at eta/gamma as returned; with eta = 0 every gamma is 0, so at x itself
+    xs = (eta / gamma for gamma in roots) if eta else x_roots
+    residuals = tuple(_relative_residual(x, a, b, c) for x in xs)
+    return GrowthRateResult(roots, REGIME_DEGENERATE if notes else REGIME_SLOW, residuals,
+                            x_roots, notes)
 
 
 def classify_dynamo(samples, tau: float) -> str:

@@ -154,6 +154,9 @@ class FrenetFrame:
         """Max deviation over the six unit-norm and orthogonality conditions."""
         return self._defect
 
+    def __reduce__(self):  # copies go through the constructor, so their vectors are read-only too
+        return type(self), (self.t, self.n, self.b)
+
 
 def _frenet_derivative(kappa: float, tau: float, y) -> tuple:
     """(t', n', b') = (kappa n, -kappa t + tau b, -tau n) of a triad given as its nine entries."""
@@ -208,6 +211,11 @@ class FrameTrajectory:
     defects: np.ndarray
     reorthonormalizations: list[tuple[float, float]]
     max_defect: float
+
+    def __setstate__(self, state):  # a pickled or deep-copied trajectory is read-only as well
+        vars(self).update(state)
+        for array in (self.arclengths, self.frames, self.defects):
+            array.setflags(write=False)
 
     @property
     def samples(self) -> Sequence[tuple[float, FrenetFrame]]:

@@ -19,7 +19,7 @@ map them from ln r back to r by the chain rule, keeping the stencils uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -100,6 +100,9 @@ class RadialGrid:
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "natural_step", step)
+
+    def __reduce__(self):  # copies go through the constructor, so their nodes are read-only too
+        return type(self), (self.r_min, self.r_max, self.count, self.spacing)
 
     @classmethod
     def default_log(cls, r_max: float = 1.0, count: int = 256) -> "RadialGrid":
@@ -250,6 +253,9 @@ class TubeFlowField:
             object.__setattr__(self, name, arr)
         if self.v_s.shape != self.v_theta.shape:
             raise ValueError("v_s and v_theta must be sampled on the same grid")
+
+    def __reduce__(self):  # as RadialGrid's: a copy's v_s and v_theta are read-only too
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
 
     @classmethod
     def eigen_ansatz(

@@ -245,7 +245,8 @@ def test_value_instances_cover_every_public_dataclass():
 
 @pytest.mark.parametrize("value", _value_instances(), ids=lambda value: type(value).__name__)
 def test_value_types_pickle_deep_copy_compare_and_hash(value):
-    # numpy drops the read-only flag of an array on both round trips, so it is not checked
+    # numpy drops the read-only flag of an array on both round trips; the next test checks
+    # that the types restore it
     assert value == value
     hash(value)
     by_identity = type(value).__eq__ is object.__eq__
@@ -257,6 +258,17 @@ def test_value_types_pickle_deep_copy_compare_and_hash(value):
             assert (np.array_equal(twin_state[key], item) if isinstance(item, np.ndarray)
                     else twin_state[key] == item), key
         assert (twin != value) if by_identity else (twin == value and hash(twin) == hash(value))
+
+
+@pytest.mark.parametrize("value", [value for value in _value_instances()
+                                   if any(isinstance(item, np.ndarray)
+                                          for item in _state(value).values())],
+                         ids=lambda value: type(value).__name__)
+def test_round_trip_keeps_arrays_read_only(value):
+    for twin in (value, pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        flags = {key: item.flags.writeable for key, item in _state(twin).items()
+                 if isinstance(item, np.ndarray)}
+        assert flags and not any(flags.values()), flags
 
 
 @pytest.mark.parametrize("profile", [value for value in _value_instances()

@@ -226,26 +226,28 @@ def classify_dynamo(samples, tau: float) -> str:
     """
     if tau == 0.0:
         return REGIME_NON_DYNAMO_PLANAR
-    pairs = [(float(eta), complex(gamma).real) for eta, gamma in samples]
-    etas, gammas = [eta for eta, _ in pairs], [gamma for _, gamma in pairs]
+    etas, gammas, sum_sq, sum_eta, sum_gamma = [], [], 0.0, 0.0, 0.0
+    for eta, gamma in samples:  # each fit sum adds left to right: sum() compensates from 3.12 on
+        eta, gamma = float(eta), complex(gamma).real
+        etas.append(eta)
+        gammas.append(gamma)
+        sum_sq, sum_eta, sum_gamma = sum_sq + eta * eta, sum_eta + eta, sum_gamma + gamma
     if len(set(etas)) < 3:  # a set, as cli.run_filament_sweep counts them
         raise ValueError("need at least 3 samples with distinct eta")
-    n, sum_sq, sum_eta, sum_gamma = len(pairs), 0.0, 0.0, 0.0
-    for eta, gamma in pairs:  # each fit sum adds left to right: sum() compensates from 3.12 on
-        sum_sq, sum_eta, sum_gamma = sum_sq + eta * eta, sum_eta + eta, sum_gamma + gamma
+    n = len(etas)
     # the spread below is relative to the sum of eta^2, so it must be positive and finite
     if not (0.0 < sum_sq < math.inf and all(map(math.isfinite, gammas))):
         raise ValueError(f"eta sweep {etas}: sum of eta^2 = {sum_sq!r} and growth rates "
                          f"{gammas}; the fit needs a positive finite sum and finite rates")
     mean_eta, mean_gamma, sxx, sxy = sum_eta / n, sum_gamma / n, 0.0, 0.0
-    for eta, gamma in pairs:
+    for eta, gamma in zip(etas, gammas):
         d = eta - mean_eta
         sxx, sxy = sxx + d * d, sxy + d * (gamma - mean_gamma)
     if math.sqrt(sxx / sum_sq) / (1.0 + abs(sum_eta) / math.sqrt(n * sum_sq)) <= n * math.ulp(1.0):
         return REGIME_DEGENERATE
     slope = sxy / sxx
     intercept = mean_gamma - slope * mean_eta
-    fit_residual = max(abs(slope * eta + intercept - gamma) for eta, gamma in pairs)
+    fit_residual = max(abs(slope * eta + intercept - gamma) for eta, gamma in zip(etas, gammas))
     scale = max(map(abs, gammas))
     if abs(intercept) <= _INTERCEPT_TOL * scale and fit_residual <= _RESIDUAL_TOL * scale:
         return REGIME_SLOW

@@ -40,21 +40,19 @@ def format_float(x: float) -> str:
 class _NonFinite(ValueError):
     """args: the message, then each level's dict key or list index ("" at the top), inner first."""
 
+    def __str__(self) -> str:
+        path = ""  # outermost first; a dict key takes a dot unless the path is still empty
+        for key in reversed(self.args[1:]):
+            path = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+        return f"{path or 'top level'}: {self.args[0]}"
+
 
 def json_dumps(obj) -> str:
     """Serialise to JSON with 17-significant-digit floats and stable ordering.
 
-    Dict keys keep insertion order (reports are built deterministically), so
-    identical inputs yield identical bytes.  A non-finite value raises
-    ValueError naming its key path, which is built only then.
-    """
-    try:
-        return _dumps(obj, 0)
-    except _NonFinite as exc:
-        path = ""  # outermost first; a dict key takes a dot unless the path is still empty
-        for key in reversed(exc.args[1:]):
-            path = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
-        raise ValueError(f"{path or 'top level'}: {exc.args[0]}") from None
+    Dict keys keep insertion order (reports are built deterministically), so identical inputs
+    yield identical bytes.  A non-finite value raises ValueError naming its key path."""
+    return "".join(_dumps(obj, 0))
 
 
 class _Records:
@@ -64,64 +62,66 @@ class _Records:
     def __init__(self, keys, rows):
         self.keys, self.rows = keys, rows
 
-    def dumps(self, indent: int, at) -> str:
+    def dumps(self, indent: int, at):
         keys, rows, pad = self.keys, self.rows, "\n" + "  " * (indent + 1)
         row = "{" + ",".join(f"{pad}  {encode_basestring_ascii(str(key)).replace('%', '%%')}: "
                              f"%{FLOAT_FORMAT}" for key in keys) + pad + "}"
-        blocks = []
+        pieces = ["[" + pad]  # then each block and the separator after it
         for start in range(0, len(rows) if len(set(keys)) == len(keys) else 0, _CSV_BLOCK_ROWS):
             block = rows[start:start + _CSV_BLOCK_ROWS]
             cells = tuple(itertools.chain.from_iterable(block))
             if not (set(map(len, block)) == {len(keys)} and set(map(type, cells)) == {float}
                     and all(map(math.isfinite, cells))):
                 break
-            blocks.append(("," + pad).join([row] * len(block)) % cells)
+            pieces += [("," + pad).join([row] * len(block)) % cells, "," + pad]
         else:  # a repeated key, which a dict keeps once, or no rows leave no blocks
-            if blocks:
-                return "[" + pad + ("," + pad).join(blocks) + "\n" + "  " * indent + "]"
+            if len(pieces) > 1:
+                return [*pieces[:-1], "\n" + "  " * indent + "]"]
         return _dumps([dict(zip(keys, row)) for row in rows], indent, at)
 
 
-def _dumps(obj, indent: int, at="") -> str:
+def _dumps(obj, indent: int, at=""):
+    """obj's JSON text as a run of pieces: each is made once, and none holds another's text."""
     if isinstance(obj, float):  # np.float64 too: it formats through float
-        if math.isfinite(obj):
-            return format(obj, FLOAT_FORMAT)
-        raise _NonFinite(f"cannot serialise non-finite value {float(obj)!r}", at)
-    if isinstance(obj, (dict, list, tuple)):
-        brackets, sep = "{}" if isinstance(obj, dict) else "[]", ",\n" + "  " * (indent + 1)
+        if not math.isfinite(obj):
+            raise _NonFinite(f"cannot serialise non-finite value {float(obj)!r}", at)
+        yield format(obj, FLOAT_FORMAT)
+    elif isinstance(obj, (dict, list, tuple)):
+        keyed, pad = isinstance(obj, dict), "\n" + "  " * (indent + 1)
+        brackets, sep = ("{}", "{" + pad) if keyed else ("[]", "[" + pad)  # then "," + pad
         try:
-            items = ([f"{encode_basestring_ascii(str(key))}: {_dumps(value, indent + 1, str(key))}"
-                      for key, value in obj.items()] if brackets == "{}" else
-                     [_dumps(value, indent + 1, index) for index, value in enumerate(obj)])
+            for key, value in obj.items() if keyed else enumerate(obj):
+                yield f"{sep}{encode_basestring_ascii(str(key))}: " if keyed else sep
+                yield from _dumps(value, indent + 1, str(key) if keyed else key)
+                sep = "," + pad
         except _NonFinite as exc:
             exc.args += (at,)
             raise
-        return (brackets[0] + sep[1:] + sep.join(items) + "\n" + "  " * indent + brackets[1]
-                if items else brackets)
-    if type(obj) is _Records:
-        return obj.dumps(indent, at)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    # numpy scalars and similar duck-typed numbers
-    if hasattr(obj, "item"):
-        return _dumps(obj.item(), indent, at)
-    raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
+        yield "\n" + "  " * indent + brackets[1] if obj else brackets
+    elif type(obj) is _Records:
+        yield from obj.dumps(indent, at)
+    elif obj is None:
+        yield "null"
+    elif isinstance(obj, bool):
+        yield "true" if obj else "false"
+    elif isinstance(obj, int):
+        yield str(obj)
+    elif isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    elif hasattr(obj, "item"):  # numpy scalars and similar duck-typed numbers
+        yield from _dumps(obj.item(), indent, at)
+    else:
+        raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
 
 
 def write_json(path: Path, obj) -> None:
     """Write obj as JSON; a non-finite value raises ValueError naming the file and key path."""
     try:
-        text = json_dumps(obj)
+        pieces = list(_dumps(obj, 0))  # all made before the file opens: an error leaves no file
     except ValueError as exc:
         raise ValueError(f"{Path(path).name}: {exc}") from exc
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
         fh.write("\n")
 
 

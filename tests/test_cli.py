@@ -528,13 +528,13 @@ class TestFilamentRowCost:
     """tracemalloc peak of a filament sweep, runner and all three writers, per eta at 10^5 etas.
     The quadratic is solved once and each eta keeps its four rate cells and its regime.
 
-    Measured on CPython 3.11: 318 B/eta, the bound 400 B is that plus 25%.  A solve and a
+    Measured on CPython 3.11: 255 B/eta, the bound 319 B is that plus 25%.  A solve and a
     GrowthRateResult per eta, as the sweep once made, cost 767 B/eta and fail it."""
 
     def test_peak_bytes_per_eta(self, tmp_path):
         etas = ",".join(str(k / 10**5) for k in range(1, 10**5 + 1))
         argv = ["--command", "filament", f"--eta={etas}"]
-        assert TestTubeFrenetRowCost._peak(tmp_path, argv, "csv,json,svg") / 10**5 <= 400
+        assert TestTubeFrenetRowCost._peak(tmp_path, argv, "csv,json,svg") / 10**5 <= 319
 
 
 class TestTubeFrenetRowCost:
@@ -583,15 +583,15 @@ class TestTubeFrenetRowCost:
 class TestFrenetEventCost:
     """tracemalloc peak of a frenet run, runner and --format json, per re-orthonormalisation
     event at 10^5 events (--kappa0 3 --tau0 0 --step 0.05 flags every step).  The event log
-    reaches the JSON writer as (s, defect) tuples and its text is made a block at a time.
+    reaches the JSON writer as (s, defect) tuples and its text is made once, a block at a time.
 
-    Measured on CPython 3.11 and numpy 2.4: 463 B/event, the bound 555 B is that plus 20%.  A
-    dict per event, as the report once built, costs 642 B/event and fails it."""
+    Measured on CPython 3.11 and numpy 2.4: 288 B/event, the bound 346 B is that plus 20%.  A
+    dict per event, as the report once built, costs 764 B/event and fails it."""
 
     def test_peak_bytes_per_event(self, tmp_path):
         argv = ["--command", "frenet", "--kappa0", "3", "--tau0", "0", "--s-end", "5000",
                 "--step", "0.05"]
-        assert TestTubeFrenetRowCost._peak(tmp_path, argv, "json") / 10**5 <= 555
+        assert TestTubeFrenetRowCost._peak(tmp_path, argv, "json") / 10**5 <= 346
 
 
 class TestConfigAndDeterminism:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynamokit import reports
+from dynamokit import cli, reports
 from dynamokit.cli import MAX_TABLE_ROWS
 from dynamokit.reports import format_float, json_dumps, write_csv, write_json, write_svg_polyline
 
@@ -171,6 +172,52 @@ class TestRecords:
             # equal texts, shown from their first difference: a diff of whole texts takes minutes
             at = len(os.path.commonprefix([records, expected]))
             assert records[at:at + 80] == expected[at:at + 80]
+
+
+class TestJsonPieces:
+    """write_json writes the pieces that json_dumps joins, each made once: the same bytes, and
+    the text held once.  The two no longer share one string, so each report is compared."""
+
+    @staticmethod
+    def _assert_written_as_dumped(path, obj):
+        write_json(path, obj)
+        assert path.read_bytes() == (json_dumps(obj) + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("command", ["map", "tube", "filament", "frenet"])
+    def test_each_default_report(self, tmp_path, command):
+        argv = ["--command", command, "--out", str(tmp_path / "x")]
+        results = cli._RUNNERS[command](cli._resolve(cli._build_parser().parse_args(argv)))[1]
+        self._assert_written_as_dumped(tmp_path / "r.json", {"results": results})
+
+    # TestRecords' examples, then rows that take the template in two blocks
+    @pytest.mark.parametrize("keys, rows", [
+        (["s", "defect"], [(0.5, 1e-9)] * 922 + [(0.5,)] + [(0.5, 1e-9)] * 102),
+        (["a", "a"], [[1.0, 2.0]] * 3),
+        ([], [()] * 2),
+        (["s", "defect"], [(k * 0.05, 1e-9 + k * 1e-15) for k in range(1025)]),
+    ], ids=["short-row", "repeated-key", "no-keys", "two-blocks"])
+    def test_records(self, tmp_path, keys, rows):
+        for obj in (reports._Records(keys, rows),
+                    {"results": {"events": reports._Records(keys, rows), "n": 1}}):
+            self._assert_written_as_dumped(tmp_path / "r.json", obj)
+
+    def test_peak_bytes_per_row(self, tmp_path):
+        """tracemalloc peak of write_json per row of a 10^5-row event log, after a warm-up.
+
+        Measured on CPython 3.11: 85 B/row, about the file's 84 B/row; the bound 106 B is that
+        plus 25%.  Each level joining its children's text, and the writer holding the whole
+        text, cost 251 B/row and fail it."""
+        rows = [(k * 0.05, 1e-9 + k * 1e-15) for k in range(10**5)]
+        path, obj = tmp_path / "r.json", {"results": {"events": reports._Records(("s", "defect"),
+                                                                                 rows)}}
+        write_json(path, obj)  # warm-up: first-call imports stay out of the peak
+        tracemalloc.start()
+        try:
+            write_json(path, obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 10**5 <= 106
 
 
 class TestWriters:

@@ -30,6 +30,8 @@ _MAX_CHUNK = 256
 _ANGLE_BLOCK = 4096
 # Left then right rows of the pairs t.n, t.b, n.b, t.t, n.n, b.b that make up the defect
 _DEFECT_ROWS = np.array([0, 0, 1, 0, 1, 2, 1, 2, 2, 0, 1, 2])
+# The identity as nine floats, rows t, n, b
+_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -259,7 +261,7 @@ def _gram_schmidt(y, s: float, defect: float, events: list) -> tuple[tuple, floa
 def _step_matrix(profile: CurveProfile, s: float, h: float) -> list:
     """E = P - I of the RK4 step of length h from s as nine floats, rows t, n, b: the classical
     stages on I, kept apart from I so each entry is rounded relative to the increment, not to 1."""
-    eye, half, sixth = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), 0.5 * h, h / 6.0
+    eye, half, sixth = _EYE, 0.5 * h, h / 6.0
     (k0, t0), (k_mid, t_mid), (k1, t1) = [(profile.kappa_at(u), profile.tau_at(u))
                                           for u in (s, s + half, s + h)]
     d1 = _frenet_derivative(k0, t0, eye)
@@ -286,13 +288,19 @@ def integrate_frame(
     Orthonormality drift beyond ORTHONORMALITY_TOL triggers a Gram-Schmidt
     re-orthonormalisation, recorded in the trajectory with the drift it removed.
 
-    The RK4 step of y' = A y is linear: y -> E y + y, every E from _step_matrix.
-    Each pass of one loop advances a constant profile's chunk P^1..P^m y, P = I + E_1,
-    up to the first frame above the tolerance, or takes one scalar step on the frame's
-    nine Python floats, and ends in one tail: Gram-Schmidt on a flagged frame, then its
-    store.  m starts at 1, doubles after a clean chunk up to 256 and never shrinks.
-    Scalar steps take E_1 after a chunk's event until one is clean, and their own E
-    on a variable profile and for the shortened final step.
+    The RK4 step of y' = A y is linear: y -> E y + y, every E from _step_matrix.  Each
+    pass of one loop takes one of three cases and ends in one tail: Gram-Schmidt (GS) on
+    a flagged frame, then its store.  On a constant profile, with P = I + E_1:
+    - A clean frame y advances by a chunk P^1..P^m y up to the first frame above the
+      tolerance.
+    - If P drifts past the tolerance, so does P y for every orthonormal y, and in exact
+      arithmetic GS(P y) = Q y with Q = GS(P), as LQ factors are unique.  So a frame that
+      GS has just made advances by a chunk Q^1..Q^m y, each frame an event whose drift is
+      that of P y, kept up to one whose P y does not drift or whose own defect is above
+      the tolerance.  That frame, or else the chunk's last, is P y of the one before.
+    - Otherwise one scalar step on the frame's nine Python floats: E_1 on a constant
+      profile, its own E on a variable one and for the shortened final step.
+    m starts at 1, doubles after a chunk kept whole up to 256 and never shrinks.
     """
     if not all(map(math.isfinite, (s_start, s_end, step))):
         raise ValueError(f"s_start, s_end and step must be finite, got {s_start}, {s_end}, {step}")
@@ -320,12 +328,16 @@ def integrate_frame(
     defects = np.empty(n_steps + 1)
     frames[0] = initial.t, initial.n, initial.b
     defects[0] = initial.orthonormality_defect()
-    events, i, chunk, e1, clean, y = [], 0, 1, None, True, flat[0].tolist()
+    events, i, chunk, e1, dense, clean, y = [], 0, 1, None, False, True, flat[0].tolist()
     if n_full and not (callable(profile.kappa) or callable(profile.tau)):
-        e1 = _step_matrix(profile, s_start, step)
-        increments = np.reshape(e1, (1, 3, 3))  # E_k = P^k - I for k = 1, 2, ...
+        e1, passes = _step_matrix(profile, s_start, step), []
+        p = [u + e for u, e in zip(_EYE, e1)]
+        if _triad_defect(p) > ORTHONORMALITY_TOL:  # so does P y for each orthonormal y
+            q = np.subtract(_gram_schmidt(p, arclengths.item(1), math.inf, passes)[0], _EYE)
+        dense, e1_matrix = len(passes) == 1, np.reshape(e1, (3, 3))  # GS(P y) takes one pass too
+        increments = np.reshape(q if dense else e1, (1, 3, 3))  # P^k - I, or Q^k - I if dense
     while i < n_steps:
-        if clean and e1 is not None and i < n_full:
+        if clean != dense and e1 is not None and i < n_full:  # P: a clean y; Q: a y GS made
             m = min(chunk, n_full - i)
             while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
                 last = increments[-1]
@@ -333,12 +345,20 @@ def integrate_frame(
             y = frames[i]
             frames[i + 1:i + m + 1] = (increments[:m].reshape(-1, 3) @ y).reshape(m, 3, 3) + y
             defects[i + 1:i + m + 1] = _frame_defects(frames[i + 1:i + m + 1])
-            # k: the first frame above the tolerance, or with a NaN defect (so any non-finite one)
-            k = int(np.argmin(defects[i + 1:i + m + 1] <= ORTHONORMALITY_TOL))
-            if defects.item(i + 1 + k) <= ORTHONORMALITY_TOL:  # none: the chunk ends clean
+            kept = defects[i + 1:i + m + 1] <= ORTHONORMALITY_TOL
+            if dense:  # Q y stands for GS(P y) while P y drifts past the tolerance
+                steps = e1_matrix @ frames[i:i + m] + frames[i:i + m]
+                drifts = _frame_defects(steps)
+                kept &= drifts > ORTHONORMALITY_TOL
+            # k: the first frame not kept, such as one with a NaN defect (so any non-finite one)
+            k = int(np.argmin(kept))
+            if kept[k]:  # none: the chunk is kept whole
                 k, chunk = m - 1, min(2 * chunk, _MAX_CHUNK)
             i += 1 + k
             y, defect = flat[i].tolist(), defects.item(i)
+            if dense:  # the k frames before i are kept with their events; frame i is P y
+                events += zip(arclengths[i - k:i].tolist(), drifts[:k].tolist())
+                y, defect = steps[k].ravel().tolist(), drifts.item(k)
         else:
             e00, e01, e02, e10, e11, e12, e20, e21, e22 = (
                 e1 if e1 is not None and i < n_full

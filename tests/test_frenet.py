@@ -490,7 +490,8 @@ class TestStepMatrix:
 
 
 class TestDenseEventSteps:
-    """Runs where every step re-orthonormalises leave the chunked scan for Python floats."""
+    """Runs where every step re-orthonormalises: on a constant profile they advance in chunks
+    of powers of Q = GS(P), on a callable one by scalar steps on Python floats."""
 
     @settings(max_examples=10, deadline=None)
     @example(kappa=3.0, tau=0.0, rate=0.15, n_full=2000, fraction=0.0)  # the coarse CLI run
@@ -647,6 +648,108 @@ class TestVariableProfileMatchesStageLoop:
         assert np.abs(traj.defects - defects).max() <= 1e-12
         assert abs(traj.max_defect - max_defect) <= 1e-12
         assert [frame_defect(frame) for frame in traj.frames] == traj.defects.tolist()
+
+
+def gram_schmidt_arclengths(monkeypatch) -> list:
+    """The s of every _gram_schmidt call that integrate_frame makes from now on."""
+    calls, gram_schmidt = [], frenet._gram_schmidt
+    monkeypatch.setattr(frenet, "_gram_schmidt", lambda y, s, defect, events: (
+        calls.append(s) or gram_schmidt(y, s, defect, events)))
+    return calls
+
+
+class TestDenseChunks:
+    """A constant profile whose one step P = I + E_1 drifts past the tolerance advances by
+    chunks of Q = GS(P) powers, each closed by P y and Gram-Schmidt."""
+
+    def test_coarse_run_gram_schmidts_few_frames(self, monkeypatch):
+        calls = gram_schmidt_arclengths(monkeypatch)
+        traj = integrate_frame(CurveProfile.constant(3.0, 0.0), 0.0, 100.0, 0.05,
+                               FrenetFrame.canonical())
+        n_full = 2000
+        assert len(traj.reorthonormalizations) == n_full  # an event on every step
+        assert len(calls) < n_full / 8
+
+    # one step from an orthonormal frame drifts by about (h w)^6 / 144, past 1e-8 from h w = 0.1063
+    @pytest.mark.parametrize("rate", [0.09, 0.1, 0.105, 0.106, 0.107, 0.108, 0.11, 0.15])
+    @pytest.mark.parametrize("kappa, tau, n_full, fraction",
+                             [(3.0, 0.0, 2000, 0.0), (1.2, -0.7, 1500, 0.5)])
+    def test_sweep_across_the_switch_matches_stage_loop(self, kappa, tau, n_full, fraction, rate):
+        step = rate / math.hypot(kappa, tau)
+        span = (n_full + fraction) * step
+        profile = CurveProfile.constant(kappa, tau)
+        arclengths, frames, defects, events, max_defect = stage_loop_reference(profile, span, step)
+        near = np.append(defects, [d for _, d in events])
+        assert np.abs(near - ORTHONORMALITY_TOL).min() > 1e-10  # no event decided by rounding
+
+        traj = integrate_frame(profile, 0.0, span, step, FrenetFrame.canonical())
+        assert np.array_equal(traj.arclengths, arclengths)
+        assert [s for s, _ in traj.reorthonormalizations] == [s for s, _ in events]
+        frame_bound = 1e-12 + 4.0 * sys.float_info.epsilon * span * math.hypot(kappa, tau)
+        assert np.abs(traj.frames - frames).max() <= frame_bound
+        assert np.abs(traj.defects - defects).max() <= 1e-12
+        event_defects = [d for _, d in traj.reorthonormalizations]
+        assert np.abs(np.subtract(event_defects, [d for _, d in events])).max() <= 1e-12
+        assert abs(traj.max_defect - max_defect) <= 1e-12
+
+    def test_partial_chunks_keep_the_step_rule(self, monkeypatch):
+        # P = c R with R a rotation drifts by c - 1 from every orthonormal frame; one ulp of
+        # sqrt's grid past the tolerance, a Q-power frame's own rounding decides whether its
+        # P y drifts, so chunks stop early at clean steps
+        axis = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+        skew = np.cross(np.eye(3), axis)
+        rotation = np.eye(3) + math.sin(0.3) * skew + (1.0 - math.cos(0.3)) * skew @ skew
+        e = ((1.0 + 1e-8 + 2.0**-52) * rotation - np.eye(3)).ravel().tolist()
+        monkeypatch.setattr(frenet, "_step_matrix", lambda profile, s, h: e)
+        gram_schmidt, calls = frenet._gram_schmidt, gram_schmidt_arclengths(monkeypatch)
+        traj = integrate_frame(CurveProfile.constant(1.0, 0.0), 0.0, 2000.0, 1.0,
+                               FrenetFrame.canonical())
+        events, made_by_gram_schmidt = dict(traj.reorthonormalizations), set(calls)
+        assert len(events) == len(traj.reorthonormalizations)  # one pass per event
+
+        partial = 0
+        for k in range(1, len(traj.frames)):
+            before, s = traj.frames[k - 1], traj.arclengths.item(k)
+            step = np.reshape(e, (3, 3)) @ before + before
+            drift = frame_defect(step)
+            if s in events:  # Q y in a chunk or GS(P y) after it: GS(P y) to rounding
+                assert abs(events[s] - drift) <= 1e-15 and events[s] > ORTHONORMALITY_TOL
+                expected = gram_schmidt(step.ravel().tolist(), s, drift, [])[0]
+                assert np.abs(traj.frames[k].ravel() - expected).max() <= 1e-13
+            else:  # a clean step
+                assert drift <= ORTHONORMALITY_TOL + 1e-15
+                assert np.abs(traj.frames[k] - step).max() <= 1e-15
+                before_s = traj.arclengths.item(k - 1)
+                partial += before_s in events and before_s not in made_by_gram_schmidt
+        assert partial > 10 and len(made_by_gram_schmidt) < len(events) / 2
+        assert [frame_defect(frame) for frame in traj.frames] == traj.defects.tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [0, 4])  # the first entry of t's row, the second of n's
+    def test_non_finite_step_matrix_is_rejected(self, monkeypatch, bad, entry):
+        e = frenet._step_matrix(CurveProfile.constant(3.0, 0.0), 0.0, 0.05)
+        e[entry] = bad
+        monkeypatch.setattr(frenet, "_step_matrix", lambda profile, s, h: e)
+        with pytest.raises(ValueError, match=r"frame is not finite at s = 0\.05$"):
+            integrate_frame(CurveProfile.constant(3.0, 0.0), 0.0, 10.0, 0.05,
+                            FrenetFrame.canonical())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_final_step_is_rejected(self, monkeypatch, bad):
+        # the coarse run's full steps, then a shortened final step that turns the frame non-finite
+        step_matrix = frenet._step_matrix
+        monkeypatch.setattr(frenet, "_step_matrix", lambda profile, s, h: (
+            step_matrix(profile, s, h) if h == 0.05 else [bad] * 9))
+        with pytest.raises(ValueError, match=r"frame is not finite at s = 10\.025$"):
+            integrate_frame(CurveProfile.constant(3.0, 0.0), 0.0, 10.025, 0.05,
+                            FrenetFrame.canonical())
+
+    def test_long_run_stays_orthonormal_to_rounding(self):
+        # h w = 2.5: 20000 steps, all events, in chunks that each start from Gram-Schmidt
+        traj = integrate_frame(CurveProfile.constant(2.0, 1.5), 0.0, 20000.0, 1.0,
+                               FrenetFrame.canonical())
+        assert len(traj.reorthonormalizations) == 20000
+        assert traj.defects.max() <= 1e-13
 
 
 class TestCurveProfile:

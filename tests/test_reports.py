@@ -156,7 +156,9 @@ class TestRecords:
            odd=st.none() | st.tuples(st.sampled_from(_ODD_CELLS),
                                      st.floats(0, 1, exclude_max=True)))
     @example(keys=["s", "defect"], pool=[0.5, 1e-9], count=_RECORD_COUNTS[4], kind=tuple,
-             odd=(_SHORT_ROW, 0.9))  # in the second block
+             odd=(_SHORT_ROW, 0.9))  # cell 1845: row 922, in the first block
+    @example(keys=["s", "defect"], pool=[0.5, 1e-9], count=_RECORD_COUNTS[4], kind=tuple,
+             odd=(_SHORT_ROW, 0.9995))  # cell 2048: row 1024, after a whole templated block
     @example(keys=["a", "a"], pool=[1.0, 2.0], count=3, kind=list, odd=None)
     @example(keys=[], pool=[1.0], count=2, kind=tuple, odd=None)
     def test_writes_as_its_list_of_dicts(self, keys, pool, count, kind, odd):

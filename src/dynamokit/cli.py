@@ -371,12 +371,11 @@ def run_filament_sweep(cfg: RunConfig) -> tuple:
     columns = ([], [], [], [])  # re and im of gamma_1 and gamma_2, None a blank cell
     regimes, notes = [], set(solution.notes)
     for eta in etas:
-        rates, dropped = filament._rates(eta, solution.x_roots)
+        rates, dropped, regime = filament._rates(eta, solution.x_roots)
         cells = [part for gamma in rates for part in (gamma.real, gamma.imag)]
         for column, cell in itertools.zip_longest(columns, cells):
             column.append(cell)
-        regimes.append(filament.REGIME_DEGENERATE if dropped or not solution.x_roots
-                       else filament.REGIME_SLOW)
+        regimes.append(regime)
         notes.update(dropped)
     xs = [eta for eta, gamma in zip(etas, columns[0]) if gamma is not None]
     ys = [gamma for gamma in columns[0] if gamma is not None]

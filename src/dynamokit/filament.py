@@ -173,19 +173,18 @@ def _relative_residual(x, a, b, c) -> float:
     return abs(determinant_condition_residual(x, a, b, c)) / scale
 
 
-def _rates(eta: float, x_roots) -> tuple[tuple[complex, ...], tuple[str, ...]]:
-    """Growth rates eta/x of one eta, and a note per x = 0 root omitted; see solve_growth_rate."""
+def _rates(eta: float, x_roots) -> tuple[tuple[complex, ...], tuple[str, ...], str]:
+    """Growth rates eta/x of one eta, a note per x = 0 root omitted, and the row's regime."""
     if not math.isfinite(eta):
         raise ValueError("parameter eta must be finite")
     if eta < 0.0:
         raise ValueError("diffusivity eta must be nonnegative")
-    if eta == 0.0:
-        return (0j,) * len(x_roots), ()
-    rates = tuple(eta / x for x in x_roots if x != 0)
-    if 0 in rates:  # eta / gamma in the residuals would divide by zero
+    rates = (0j,) * len(x_roots) if eta == 0.0 else tuple(eta / x for x in x_roots if x != 0)
+    if eta and 0 in rates:  # eta / gamma in the residuals would divide by zero
         raise ValueError(f"eta = {eta!r}: the growth rate eta / x underflows to 0")
     note = "x = eta/gamma root at 0 with eta > 0: growth rate diverges, omitted"
-    return rates, (note,) * (len(x_roots) - len(rates))
+    notes = (note,) * (len(x_roots) - len(rates))
+    return rates, notes, REGIME_DEGENERATE if notes or not x_roots else REGIME_SLOW
 
 
 def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateResult:
@@ -200,15 +199,14 @@ def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateRes
     """
     ba = b * a
     x_roots = () if ba == 0.0 else _quadratic_roots(ba, ba * c, c, key=lambda z: (-z.real, -z.imag))
-    roots, notes = _rates(eta, x_roots)
+    roots, notes, regime = _rates(eta, x_roots)
     if ba == 0.0:
         notes = ("BA = 0: determinant condition reduces to C = 0, "
                  + ("identically satisfied" if c == 0.0 else "unsatisfiable"),)
     # each residual at eta/gamma as returned; with eta = 0 every gamma is 0, so at x itself
     xs = (eta / gamma for gamma in roots) if eta else x_roots
     residuals = tuple(_relative_residual(x, a, b, c) for x in xs)
-    return GrowthRateResult(roots, REGIME_DEGENERATE if notes else REGIME_SLOW, residuals,
-                            x_roots, notes)
+    return GrowthRateResult(roots, regime, residuals, x_roots, notes)
 
 
 def classify_dynamo(samples, tau: float) -> str:

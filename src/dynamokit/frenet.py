@@ -289,17 +289,17 @@ def integrate_frame(
     re-orthonormalisation, recorded in the trajectory with the drift it removed.
 
     The RK4 step of y' = A y is linear: y -> E y + y, every E from _step_matrix.  Each
-    pass of one loop takes one of three cases and ends in one tail: Gram-Schmidt (GS) on
-    a flagged frame, then its store.  On a constant profile, with P = I + E_1:
-    - A clean frame y advances by a chunk P^1..P^m y up to the first frame above the
-      tolerance.
-    - If P drifts past the tolerance, so does P y for every orthonormal y, and in exact
-      arithmetic GS(P y) = Q y with Q = GS(P), as LQ factors are unique.  So a frame that
-      GS has just made advances by a chunk Q^1..Q^m y, each frame an event whose drift is
-      that of P y, kept up to one whose P y does not drift or whose own defect is above
-      the tolerance.  That frame, or else the chunk's last, is P y of the one before.
-    - Otherwise one scalar step on the frame's nine Python floats: E_1 on a constant
-      profile, its own E on a variable one and for the shortened final step.
+    pass of one loop takes one of two ways and ends in one tail: Gram-Schmidt (GS) on
+    a flagged frame, then its store.
+    - A constant profile's full steps advance by chunks, P^1..P^m y with P = I + E_1, up
+      to the first frame above the tolerance.  If P drifts past the tolerance, so does P y
+      for every orthonormal y, and in exact arithmetic GS(P y) = Q y with Q = GS(P), as LQ
+      factors are unique.  So the chunk is then Q^1..Q^m y, each frame an event whose drift
+      is that of P y, kept up to one whose P y does not drift, whose own defect is above
+      the tolerance, or, from a y that GS did not make, the first.  That frame, or else the
+      chunk's last, is P y of the one before.
+    - A variable profile's steps, and the shortened final step, are scalar steps on the
+      frame's nine Python floats, each with its own E.
     m starts at 1, doubles after a chunk kept whole up to 256 and never shrinks.
     """
     if not all(map(math.isfinite, (s_start, s_end, step))):
@@ -337,7 +337,7 @@ def integrate_frame(
         dense, e1_matrix = len(passes) == 1, np.reshape(e1, (3, 3))  # GS(P y) takes one pass too
         increments = np.reshape(q if dense else e1, (1, 3, 3))  # P^k - I, or Q^k - I if dense
     while i < n_steps:
-        if clean != dense and e1 is not None and i < n_full:  # P: a clean y; Q: a y GS made
+        if e1 is not None and i < n_full:
             m = min(chunk, n_full - i)
             while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
                 last = increments[-1]
@@ -350,6 +350,7 @@ def integrate_frame(
                 steps = e1_matrix @ frames[i:i + m] + frames[i:i + m]
                 drifts = _frame_defects(steps)
                 kept &= drifts > ORTHONORMALITY_TOL
+                kept[0] &= not clean  # and only from a y that GS made
             # k: the first frame not kept, such as one with a NaN defect (so any non-finite one)
             k = int(np.argmin(kept))
             if kept[k]:  # none: the chunk is kept whole
@@ -360,9 +361,8 @@ def integrate_frame(
                 events += zip(arclengths[i - k:i].tolist(), drifts[:k].tolist())
                 y, defect = steps[k].ravel().tolist(), drifts.item(k)
         else:
-            e00, e01, e02, e10, e11, e12, e20, e21, e22 = (
-                e1 if e1 is not None and i < n_full
-                else _step_matrix(profile, arclengths.item(i), step if i < n_full else remainder))
+            e00, e01, e02, e10, e11, e12, e20, e21, e22 = _step_matrix(
+                profile, arclengths.item(i), step if i < n_full else remainder)
             t0, t1, t2, n0, n1, n2, b0, b1, b2 = y
             y = (e00 * t0 + e01 * n0 + e02 * b0 + t0, e00 * t1 + e01 * n1 + e02 * b1 + t1,
                  e00 * t2 + e01 * n2 + e02 * b2 + t2, e10 * t0 + e11 * n0 + e12 * b0 + n0,

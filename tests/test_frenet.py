@@ -532,6 +532,14 @@ class TestDenseEventSteps:
         # one is clipped at the end; every other scan covers 256 frames or ends in an event
         assert len(scans) <= events + 9 + math.ceil(n_full / 256)
 
+    def test_events_every_other_step_take_no_scalar_step(self, monkeypatch):
+        start, calls, triad_defect = FrenetFrame.canonical(), [], frenet._triad_defect
+        monkeypatch.setattr(frenet, "_triad_defect", lambda y: calls.append(y) or triad_defect(y))
+        traj = integrate_frame(CurveProfile.constant(1, 0), 0.0, 400.0, 0.1, start)
+        assert len(traj.arclengths) == 4001 and len(traj.reorthonormalizations) == 2000
+        # one call for P and one per Gram-Schmidt pass; a scalar step would add one per step
+        assert len(calls) == 1 + 2000
+
     @pytest.mark.parametrize("profile", [CurveProfile(kappa=1.0, tau=lambda s: 0.5),
                                          CurveProfile(kappa=lambda s: 1.0, tau=0.5)])
     def test_a_profile_with_a_callable_entry_never_scans(self, monkeypatch, profile):
@@ -579,9 +587,11 @@ class TestDenseEventSteps:
         assert np.isfinite(traj.frames).all() and (traj.frames[2:] == traj.frames[1]).all()
 
 
-def stage_loop_reference(profile: CurveProfile, span: float, step: float):
-    """integrate_frame from the canonical frame at s = 0 as a numpy RK4 stage loop, one step at a
-    time: each frame's defect from _frame_defects, and Gram-Schmidt on every flagged frame."""
+def stage_loop_reference(profile: CurveProfile, span: float, step: float,
+                         initial: FrenetFrame | None = None):
+    """integrate_frame from initial (the canonical frame by default) at s = 0 as a numpy RK4 stage
+    loop, one step at a time: each frame's defect from _frame_defects, and Gram-Schmidt on every
+    flagged frame."""
     n_full = int(math.floor(span / step + 1e-12))
     remainder = span - n_full * step
     n_steps = n_full + (remainder > 1e-12 * max(1.0, span))
@@ -589,7 +599,8 @@ def stage_loop_reference(profile: CurveProfile, span: float, step: float):
     if n_steps:
         arclengths[-1] = span
     frames, defects = np.empty((n_steps + 1, 3, 3)), np.empty(n_steps + 1)
-    frames[0], defects[0] = np.eye(3), 0.0
+    initial = FrenetFrame.canonical() if initial is None else initial
+    frames[0], defects[0] = (initial.t, initial.n, initial.b), initial.orthonormality_defect()
     events, max_defect = [], 0.0
 
     def coeff(s):
@@ -691,6 +702,28 @@ class TestDenseChunks:
         event_defects = [d for _, d in traj.reorthonormalizations]
         assert np.abs(np.subtract(event_defects, [d for _, d in events])).max() <= 1e-12
         assert abs(traj.max_defect - max_defect) <= 1e-12
+
+    def test_dense_run_from_a_frame_gram_schmidt_did_not_make(self):
+        # a start Gram-Schmidt did not make, t off unit length by 5e-9: GS(P y) removes that
+        # drift where Q y would carry it, so frame 1 must be P y and Gram-Schmidt
+        helix = helix_frame(1.3, 0.7, 0.4)
+        start = FrenetFrame((1.0 + 5e-9) * helix.t, helix.n, helix.b)
+        profile, step, n_full = CurveProfile.constant(3.0, 0.0), 0.05, 2000
+        span = n_full * step
+        arclengths, frames, defects, events, max_defect = stage_loop_reference(
+            profile, span, step, start)
+        near = np.append(defects, [d for _, d in events])
+        assert np.abs(near - ORTHONORMALITY_TOL).min() > 1e-10  # no event decided by rounding
+
+        traj = integrate_frame(profile, 0.0, span, step, start)
+        assert np.array_equal(traj.arclengths, arclengths)
+        assert len(events) >= n_full  # an event on every full step: the dense regime
+        assert [s for s, _ in traj.reorthonormalizations] == [s for s, _ in events]
+        frame_bound = 1e-12 + 4.0 * sys.float_info.epsilon * span * 3.0
+        assert np.abs(traj.frames - frames).max() <= frame_bound
+        assert np.abs(traj.defects - defects).max() <= 1e-12
+        assert abs(traj.max_defect - max_defect) <= 1e-12
+        assert [frame_defect(frame) for frame in traj.frames] == traj.defects.tolist()
 
     def test_partial_chunks_keep_the_step_rule(self, monkeypatch):
         # P = c R with R a rotation drifts by c - 1 from every orthonormal frame; one ulp of

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import shutil
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .reports import _Records, format_float, write_csv, write_json, write_svg_polyline
+from .reports import FLOAT_FORMAT, _Records, format_float, write_csv, write_json, write_svg_polyline
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _FORMATS = ("csv", "json", "svg")
@@ -210,11 +209,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _canonical(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(format_float(v) for v in value)
+    if isinstance(value, tuple) and all(map(math.isfinite, value)):  # one format for a sweep
+        return (("%" + FLOAT_FORMAT + ",") * len(value) % value)[:-1]
     if isinstance(value, float):
         return format_float(value)
-    return str(value)
+    return ",".join(map(format_float, value)) if isinstance(value, tuple) else str(value)
 
 
 def _emit(cfg: RunConfig, name: str, results: dict, csv_specs, svg_specs, derived) -> None:
@@ -365,30 +364,22 @@ def run_filament_sweep(cfg: RunConfig) -> tuple:
         eta=etas[0], kappa=p["kappa"], kappa_prime=p["kappa-prime"], k0=p["k0"],
         v0=p["v0"], tau=p["tau"], gamma_ref=p["gamma-ref"],
     )
-    coef_a, coef_b, coef_c = params.A, params.B, params.C
-    # the x roots do not depend on eta: one solve, then each eta's rates are eta / x
-    solution = filament.solve_growth_rate(etas[0], coef_a, coef_b, coef_c)
-    columns = ([], [], [], [])  # re and im of gamma_1 and gamma_2, None a blank cell
-    regimes, notes = [], set(solution.notes)
-    for eta in etas:
-        rates, dropped, regime = filament._rates(eta, solution.x_roots)
-        cells = [part for gamma in rates for part in (gamma.real, gamma.imag)]
-        for column, cell in itertools.zip_longest(columns, cells):
-            column.append(cell)
-        regimes.append(regime)
-        notes.update(dropped)
+    # the x roots do not depend on eta: one solve, then one rate rule on the eta column
+    solution = filament.solve_growth_rate(etas[0], params.A, params.B, params.C)
+    columns, dropped, regimes = filament._rates(etas, solution.x_roots)
+    columns += [[None] * len(etas)] * (4 - len(columns))  # re and im of gamma_1, gamma_2
     xs = [eta for eta, gamma in zip(etas, columns[0]) if gamma is not None]
     ys = [gamma for gamma in columns[0] if gamma is not None]
     verdict = (filament.classify_dynamo(zip(xs, ys), p["tau"])
                if p["tau"] == 0.0 or len(set(xs)) >= 3 else None)
     induction = filament.build_filament_matrix(params)
     results = {
-        "coefficients": {"A": coef_a, "B": coef_b, "C": coef_c},
+        "coefficients": {"A": params.A, "B": params.B, "C": params.C},
         "matrix_at_first_eta": [[induction.m11, 0.0], [0.0, induction.m22]],
         "m33_at_first_eta": induction.m33,
         "tau": p["tau"],
         "verdict": verdict,
-        "notes": sorted(notes),
+        "notes": sorted({*solution.notes, *dropped}),
     }
     csv_specs = [
         ("sweep", ["eta", "re_gamma_1", "im_gamma_1", "re_gamma_2", "im_gamma_2", "regime"],

@@ -173,18 +173,25 @@ def _relative_residual(x, a, b, c) -> float:
     return abs(determinant_condition_residual(x, a, b, c)) / scale
 
 
-def _rates(eta: float, x_roots) -> tuple[tuple[complex, ...], tuple[str, ...], str]:
-    """Growth rates eta/x of one eta, a note per x = 0 root omitted, and the row's regime."""
-    if not math.isfinite(eta):
-        raise ValueError("parameter eta must be finite")
-    if eta < 0.0:
-        raise ValueError("diffusivity eta must be nonnegative")
-    rates = (0j,) * len(x_roots) if eta == 0.0 else tuple(eta / x for x in x_roots if x != 0)
-    if eta and 0 in rates:  # eta / gamma in the residuals would divide by zero
-        raise ValueError(f"eta = {eta!r}: the growth rate eta / x underflows to 0")
-    note = "x = eta/gamma root at 0 with eta > 0: growth rate diverges, omitted"
-    notes = (note,) * (len(x_roots) - len(rates))
-    return rates, notes, REGIME_DEGENERATE if notes or not x_roots else REGIME_SLOW
+def _rates(etas, x_roots) -> tuple[list[list], tuple[str, ...], list[str]]:
+    """Re and im columns of the rates eta/x per x root, nonzero roots first: +0.0 where eta = 0,
+    None where x = 0 < eta (the rate diverges: omitted, with a note), then each row's regime.
+    The first bad eta in row order raises: not finite, negative, or eta/x underflowing to 0."""
+    columns = [[(eta / x if x else None) if eta else 0j for eta in etas]
+               for x in sorted(x_roots, key=lambda x: not x)]
+    for eta, *rates in zip(etas, *columns):
+        if not 0.0 <= eta < math.inf or eta and 0 in rates:  # eta / gamma would divide by 0
+            raise ValueError("parameter eta must be finite" if not math.isfinite(eta) else
+                             "diffusivity eta must be nonnegative" if eta < 0.0 else
+                             f"eta = {eta!r}: the growth rate eta / x underflows to 0")
+    parts = []
+    for gs in columns:  # free each complex column once split: it holds 40 B per eta
+        parts += [g if g is None else g.real for g in gs], [g if g is None else g.imag for g in gs]
+        gs.clear()
+    notes = ("x = eta/gamma root at 0 with eta > 0: growth rate diverges, omitted",) * (
+        x_roots.count(0) * any(etas))
+    return parts, notes, [REGIME_DEGENERATE if eta and notes or not x_roots else REGIME_SLOW
+                          for eta in etas]
 
 
 def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateResult:
@@ -199,7 +206,8 @@ def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateRes
     """
     ba = b * a
     x_roots = () if ba == 0.0 else _quadratic_roots(ba, ba * c, c, key=lambda z: (-z.real, -z.imag))
-    roots, notes, regime = _rates(eta, x_roots)
+    parts, notes, (regime,) = _rates((eta,), x_roots)
+    roots = tuple(complex(r, i) for (r,), (i,) in zip(parts[::2], parts[1::2]) if r is not None)
     if ba == 0.0:
         notes = ("BA = 0: determinant condition reduces to C = 0, "
                  + ("identically satisfied" if c == 0.0 else "unsatisfiable"),)

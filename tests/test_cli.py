@@ -275,6 +275,20 @@ class TestFilamentCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("etas,message", [
+        ("0.1,5e-324,nan", "eta = 5e-324: the growth rate eta / x underflows to 0"),
+        ("0.1,nan,5e-324", "parameter eta must be finite"),
+        ("0.1,0.2,-1,5e-324", "diffusivity eta must be nonnegative"),
+        ("0,5e-324", "eta = 5e-324: the growth rate eta / x underflows to 0"),
+    ], ids=["underflow-before-nan", "nan-before-underflow", "negative-before-underflow",
+            "underflow-after-zero"])
+    def test_first_bad_eta_in_row_order_sets_the_error(self, tmp_path, capsys, etas, message):
+        # v0 = -2 gives the x roots 1 +- sqrt(3), and 5e-324 / (1 + sqrt(3)) underflows to 0
+        out = tmp_path / "x"
+        assert run("--command", "filament", "--out", str(out), "--v0=-2", f"--eta={etas}") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "manifest.json").exists()
+
     def test_subnormal_sweep_exits_2_naming_the_eta_sweep(self, tmp_path, capfd):
         out = tmp_path / "x"
         assert run("--command", "filament", "--out", str(out),
@@ -330,8 +344,13 @@ class TestFilamentCommand:
         ["--kappa-prime", "1e20", "--v0", "1", "--eta", "0,0.1"],
         ["--v0", "1", "--eta", "0.1,0.2,0.3"],
         [],
+        ["--eta=-0.0,0.1,0.2"],
+        ["--v0", "1", "--eta=0,0.1,0.2"],
+        ["--v0", "0", "--eta=0.1,0,0.2"],
+        ["--v0=-2", "--eta=0,0.1,0.2"],
     ], ids=["zero-x-roots", "ba-zero-c-zero", "ba-zero", "one-x-root-zero", "complex-pair",
-            "default"])
+            "default", "negative-zero-eta", "complex-pair-zero-eta", "zero-x-roots-zero-eta-mid",
+            "negative-x-root-zero-eta"])
     def test_rows_match_single_solves(self, tmp_path, argv):
         out = tmp_path / "sweep"
         argv = ["--command", "filament", "--out", str(out), *argv]
@@ -522,6 +541,25 @@ class TestMapRowCost:
         finally:
             tracemalloc.stop()
         assert peak / self.ROWS <= bound
+
+
+class TestCanonicalSweep:
+    """The manifest's eta sweep in one % format reads as format_float per value."""
+
+    def test_sweep_reads_as_format_float_per_value(self):
+        rng = np.random.default_rng(1)
+        extremes = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0)
+        bits = rng.integers(0, 2**64, 10**4, dtype=np.uint64).view(np.float64)  # every exponent
+        randoms = tuple(bits[np.isfinite(bits)].tolist())
+        for value in (extremes, randoms, (), (0.5,)):
+            assert cli._canonical(value) == ",".join(map(format_float, value))
+
+    @pytest.mark.parametrize("value,bad", [
+        ((0.1, math.nan), "nan"), ((math.inf,), "inf"), ((0.2, -math.inf, math.nan), "-inf"),
+    ])
+    def test_non_finite_value_is_named(self, value, bad):
+        with pytest.raises(ValueError, match=f"^cannot serialise non-finite value {bad}$"):
+            cli._canonical(value)
 
 
 class TestFilamentRowCost:

@@ -34,18 +34,9 @@ _DEFECT_ROWS = np.array([0, 0, 1, 0, 1, 2, 1, 2, 2, 0, 1, 2])
 _EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 __all__ = [
-    "ORTHONORMALITY_TOL",
-    "MAX_STEPS",
-    "MetricDegeneracyWarning",
-    "CurveProfile",
-    "FrenetFrame",
-    "FrameTrajectory",
-    "frenet_rhs",
-    "time_evolution_rhs",
-    "integrate_frame",
-    "accumulated_rotation_angle",
-    "twist_angle",
-    "stretch_factor",
+    "ORTHONORMALITY_TOL", "MAX_STEPS", "MetricDegeneracyWarning", "CurveProfile", "FrenetFrame",
+    "FrameTrajectory", "frenet_rhs", "time_evolution_rhs", "integrate_frame",
+    "accumulated_rotation_angle", "twist_angle", "stretch_factor",
 ]
 
 
@@ -271,6 +262,14 @@ def _step_matrix(profile: CurveProfile, s: float, h: float) -> list:
     return [sixth * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(d1, d2, d3, d4)]
 
 
+def _powers(block: np.ndarray, count: int) -> np.ndarray:
+    """Doubled table of M R^j - I, j < count, for each M - I of block, R - I its last."""
+    table = block[None]
+    while len(table) < count:
+        table = np.concatenate((table, table + table[-1, -1] + table @ table[-1, -1]))
+    return table[:count]
+
+
 def integrate_frame(
     profile: CurveProfile,
     s_start: float,
@@ -291,16 +290,15 @@ def integrate_frame(
     The RK4 step of y' = A y is linear: y -> E y + y, every E from _step_matrix.  Each
     pass of one loop takes one of two ways and ends in one tail: Gram-Schmidt (GS) on
     a flagged frame, then its store.
-    - A constant profile's full steps advance by chunks, P^1..P^m y with P = I + E_1, up
-      to the first frame above the tolerance.  If P drifts past the tolerance, so does P y
-      for every orthonormal y, and in exact arithmetic GS(P y) = Q y with Q = GS(P), as LQ
-      factors are unique.  So the chunk is then Q^1..Q^m y, each frame an event whose drift
-      is that of P y, kept up to one whose P y does not drift, whose own defect is above
-      the tolerance, or, from a y that GS did not make, the first.  That frame, or else the
-      chunk's last, is P y of the one before.
-    - A variable profile's steps, and the shortened final step, are scalar steps on the
-      frame's nine Python floats, each with its own E.
-    m starts at 1, doubles after a chunk kept whole up to 256 and never shrinks.
+    - A constant profile's full steps advance by chunks X y + y, from one table of X.  With
+      P = I + E_1 and y orthonormal, P^k y drifts as P^k does, and GS(P^k y) = GS(P^k) y in
+      exact arithmetic (LQ factors are unique).  So if P^K, K <= 256, is the first power to
+      drift, a chunk from a y that GS made is up to 256 steps of periods P^1..P^(K-1) Q^j y,
+      Q^(j+1) y, Q = GS(P^K), each Q^(j+1) y an event with the drift of P^K Q^j y; else it is
+      P^1..P^256 y.  It ends at a frame above the tolerance, or at an event whose P^K Q^j y
+      does not drift or, from a y that GS did not make, the first: that frame is P^K Q^j y.
+    - A variable profile's steps, a constant one's if E_1 is not finite, and the shortened
+      final step are scalar steps on the frame's nine Python floats, each with its own E.
     """
     if not all(map(math.isfinite, (s_start, s_end, step))):
         raise ValueError(f"s_start, s_end and step must be finite, got {s_start}, {s_end}, {step}")
@@ -328,38 +326,39 @@ def integrate_frame(
     defects = np.empty(n_steps + 1)
     frames[0] = initial.t, initial.n, initial.b
     defects[0] = initial.orthonormality_defect()
-    events, i, chunk, e1, dense, clean, y = [], 0, 1, None, False, True, flat[0].tolist()
-    if n_full and not (callable(profile.kappa) or callable(profile.tau)):
-        e1, passes = _step_matrix(profile, s_start, step), []
-        p = [u + e for u, e in zip(_EYE, e1)]
-        if _triad_defect(p) > ORTHONORMALITY_TOL:  # so does P y for each orthonormal y
-            q = np.subtract(_gram_schmidt(p, arclengths.item(1), math.inf, passes)[0], _EYE)
-        dense, e1_matrix = len(passes) == 1, np.reshape(e1, (3, 3))  # GS(P y) takes one pass too
-        increments = np.reshape(q if dense else e1, (1, 3, 3))  # P^k - I, or Q^k - I if dense
+    events, i, clean, y, table = [], 0, True, flat[0].tolist(), None
+    constant = n_full and not (callable(profile.kappa) or callable(profile.tau))
+    if constant and math.isfinite(sum(e1 := _step_matrix(profile, s_start, step))):
+        # P^k - I up to n_full or 256, or P's alone if it drifts, as its powers may overflow
+        p_drifts = _triad_defect([u + e for u, e in zip(_EYE, e1)]) > ORTHONORMALITY_TOL
+        table = _powers(np.reshape(e1, (1, 3, 3)), 1 if p_drifts else min(n_full, _MAX_CHUNK))[:, 0]
+        drifting, passes = _frame_defects(table + np.eye(3)) > ORTHONORMALITY_TOL, []
+        period, chunk = 1 + int(drifting.argmax()), len(table)
+        if drifting[period - 1]:
+            q = _gram_schmidt((table[period - 1] + np.eye(3)).ravel().tolist(),
+                              arclengths.item(period), math.inf, passes)[0]
+        if len(passes) == 1:  # GS(P^K y) takes one pass too: P^r Q^j - I, r <= K, Q^(j+1) - I
+            periods = _powers(np.append(table[:period], np.reshape(q, (1, 3, 3)) - np.eye(3), 0),
+                              min(_MAX_CHUNK // period, -(-n_full // period)))
+            chunk, drifts = len(periods) * period, periods[:, -2]  # each P^K Q^j - I
+            table = np.concatenate((np.delete(periods, -2, 1).reshape(-1, 3, 3), drifts))
+        else:  # no K: no chunk reaches an event
+            period = chunk + 1
     while i < n_steps:
-        if e1 is not None and i < n_full:
-            m = min(chunk, n_full - i)
-            while len(increments) < m:  # doubles with the chunk: E_(j+k) = E_j + E_k + E_j E_k
-                last = increments[-1]
-                increments = np.concatenate((increments, increments + last + increments @ last))
-            y = frames[i]
-            frames[i + 1:i + m + 1] = (increments[:m].reshape(-1, 3) @ y).reshape(m, 3, 3) + y
-            defects[i + 1:i + m + 1] = _frame_defects(frames[i + 1:i + m + 1])
-            kept = defects[i + 1:i + m + 1] <= ORTHONORMALITY_TOL
-            if dense:  # Q y stands for GS(P y) while P y drifts past the tolerance
-                steps = e1_matrix @ frames[i:i + m] + frames[i:i + m]
-                drifts = _frame_defects(steps)
-                kept &= drifts > ORTHONORMALITY_TOL
-                kept[0] &= not clean  # and only from a y that GS made
-            # k: the first frame not kept, such as one with a NaN defect (so any non-finite one)
-            k = int(np.argmin(kept))
-            if kept[k]:  # none: the chunk is kept whole
-                k, chunk = m - 1, min(2 * chunk, _MAX_CHUNK)
-            i += 1 + k
-            y, defect = flat[i].tolist(), defects.item(i)
-            if dense:  # the k frames before i are kept with their events; frame i is P y
-                events += zip(arclengths[i - k:i].tolist(), drifts[:k].tolist())
-                y, defect = steps[k].ravel().tolist(), drifts.item(k)
+        if table is not None and i < n_full:
+            m, y = min(chunk, n_full - i, period if clean else chunk), frames[i]
+            run = (table.reshape(-1, 3) @ y).reshape(-1, 3, 3) + y
+            scan = _frame_defects(run)
+            frames[i + 1:i + m + 1], defects[i + 1:i + m + 1] = run[:m], scan[:m]
+            kept = scan[:m] <= ORTHONORMALITY_TOL
+            if m >= period:  # Q^(j+1) y is GS(P^K Q^j y) while P^K Q^j y drifts, from a GS y
+                kept[period - 1::period] &= scan[chunk:chunk + m // period] > ORTHONORMALITY_TOL
+            kept[-1] = False  # the chunk's last frame goes to the tail, kept or not
+            k = int(kept.argmin())  # the first frame not kept, as is any with a NaN defect
+            events += zip(arclengths[i + period:i + k + 1:period].tolist(),
+                          scan[chunk:chunk + k // period].tolist())
+            row = chunk + k // period if (k + 1) % period == 0 else k  # an event is P^K Q^j y
+            i, y, defect = i + 1 + k, run[row].ravel().tolist(), scan.item(row)
         else:
             e00, e01, e02, e10, e11, e12, e20, e21, e22 = _step_matrix(
                 profile, arclengths.item(i), step if i < n_full else remainder)

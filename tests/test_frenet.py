@@ -528,8 +528,8 @@ class TestDenseEventSteps:
                                FrenetFrame.canonical())
         n_full, events = 12500, len(traj.reorthonormalizations)
         assert len(traj.arclengths) == n_full + 1 and events > 2000
-        # a clean scan at most doubles the chunk: at most 8 clean scans run below 256 frames and
-        # one is clipped at the end; every other scan covers 256 frames or ends in an event
+        # one scan finds the period K = 6 and each chunk takes one: the first, from the canonical
+        # frame, ends at its first event and every other covers 42 periods of 6 steps
         assert len(scans) <= events + 9 + math.ceil(n_full / 256)
 
     def test_events_every_other_step_take_no_scalar_step(self, monkeypatch):
@@ -537,8 +537,10 @@ class TestDenseEventSteps:
         monkeypatch.setattr(frenet, "_triad_defect", lambda y: calls.append(y) or triad_defect(y))
         traj = integrate_frame(CurveProfile.constant(1, 0), 0.0, 400.0, 0.1, start)
         assert len(traj.arclengths) == 4001 and len(traj.reorthonormalizations) == 2000
-        # one call for P and one per Gram-Schmidt pass; a scalar step would add one per step
-        assert len(calls) == 1 + 2000
+        # one call for P and one per Gram-Schmidt pass, a scalar step would add one per step:
+        # Q = GS(P^2), the first event from the canonical frame, then one closing each chunk of
+        # 256 steps over the 3998 left
+        assert len(calls) == 1 + 1 + 1 + math.ceil(3998 / 256)
 
     @pytest.mark.parametrize("profile", [CurveProfile(kappa=1.0, tau=lambda s: 0.5),
                                          CurveProfile(kappa=lambda s: 1.0, tau=0.5)])
@@ -556,7 +558,7 @@ class TestDenseEventSteps:
         monkeypatch.setattr(frenet, "_frame_defects", lambda f: scans.append(len(f)) or defects(f))
         traj = integrate_frame(CurveProfile(kappa=kappa, tau=tau), 0.0, 1.0, 0.01,
                                FrenetFrame.canonical())
-        assert sum(scans) == 100
+        assert sum(scans) == 100 + 100  # P^1..P^100, which hold no K, then one chunk
         np.testing.assert_array_equal(traj.frames, reference.frames)
         np.testing.assert_array_equal(traj.defects, reference.defects)
 
@@ -783,6 +785,74 @@ class TestDenseChunks:
                                FrenetFrame.canonical())
         assert len(traj.reorthonormalizations) == 20000
         assert traj.defects.max() <= 1e-13
+
+
+class TestPeriodicEvents:
+    """A constant profile's events come every K steps, K the first k whose P^k drifts past the
+    tolerance; its chunks advance whole periods P^1..P^(K-1) Q^j y, Q^(j+1) y, Q = GS(P^K)."""
+
+    # kappa, tau, step, span, K, events
+    RUNS = [(1.0, 0.0, 0.1, 400.0, 2, 2000), (1.0, 0.0, 0.08, 1000.0, 6, 2083),
+            (1.0, 0.0, 0.05, 2000.0, 93, 430), (1.0, 0.0, 0.03, 2000.0, 1976, 33),
+            (1.3, 0.7, 0.03, 300.0, 191, 52)]
+
+    @staticmethod
+    def period(kappa: float, tau: float, step: float) -> int:
+        """K from the powers of the one-step matrix P alone."""
+        e = frenet._step_matrix(CurveProfile.constant(kappa, tau), 0.0, step)
+        p = np.eye(3) + np.reshape(e, (3, 3))
+        power, k = p, 1
+        while frame_defect(power) <= ORTHONORMALITY_TOL:
+            power, k = power @ p, k + 1
+        return k
+
+    @pytest.mark.parametrize("kappa, tau, step, span, period, n_events", RUNS)
+    def test_every_gap_between_events_is_the_period(self, kappa, tau, step, span, period,
+                                                     n_events):
+        assert self.period(kappa, tau, step) == period
+        traj = integrate_frame(CurveProfile.constant(kappa, tau), 0.0, span, step,
+                               FrenetFrame.canonical())
+        steps = np.searchsorted(traj.arclengths, [s for s, _ in traj.reorthonormalizations])
+        assert len(steps) == n_events
+        assert (np.diff(steps, prepend=0) == period).all()
+
+    @pytest.mark.parametrize("kappa, tau, step, span, period, n_events", RUNS)
+    def test_gram_schmidt_at_most_once_per_chunk(self, monkeypatch, kappa, tau, step, span,
+                                                 period, n_events):
+        scans, defects = [], frenet._frame_defects
+        monkeypatch.setattr(frenet, "_frame_defects", lambda f: scans.append(len(f)) or defects(f))
+        calls = gram_schmidt_arclengths(monkeypatch)
+        traj = integrate_frame(CurveProfile.constant(kappa, tau), 0.0, span, step,
+                               FrenetFrame.canonical())
+        n_full = len(traj.arclengths) - 1
+        # one scan finds K, and Q = GS(P^K) is formed once; each chunk takes one scan
+        assert len(calls) <= len(scans)
+        if period <= 256:  # the first chunk is one period; every other fits 256 steps of them
+            assert len(scans) <= 2 + math.ceil(n_full / (period * (256 // period)))
+        else:  # no K: chunks of 256 steps, each ended early by at most one event
+            assert len(scans) <= 1 + math.ceil(n_full / 256) + n_events
+
+    @pytest.mark.parametrize("kappa, tau, step, span, period, n_events",
+                             [run for run in RUNS if run[3] / run[2] <= 20000])
+    def test_matches_stage_loop(self, kappa, tau, step, span, period, n_events):
+        profile = CurveProfile.constant(kappa, tau)
+        arclengths, frames, defects, events, max_defect = stage_loop_reference(profile, span, step)
+        near = np.append(defects, [d for _, d in events])
+        # no event decided by rounding: the kappa 1.3 run's events drift 1.5e-11 past the
+        # tolerance, a third of one step's growth of the defect and far above its rounding
+        assert np.abs(near - ORTHONORMALITY_TOL).min() > 1e-11
+
+        traj = integrate_frame(profile, 0.0, span, step, FrenetFrame.canonical())
+        assert np.array_equal(traj.arclengths, arclengths)
+        assert [s for s, _ in traj.reorthonormalizations] == [s for s, _ in events]
+        frame_bound = 1e-12 + 4.0 * sys.float_info.epsilon * span * math.hypot(kappa, tau)
+        assert np.abs(traj.frames - frames).max() <= frame_bound
+        assert np.abs(traj.defects - defects).max() <= 1e-12
+        event_defects = [d for _, d in traj.reorthonormalizations]
+        assert np.abs(np.subtract(event_defects, [d for _, d in events])).max() <= 1e-12
+        assert abs(traj.max_defect - max_defect) <= 1e-12
+        expected = accumulated_rotation_angle(trajectory_of(frames))
+        assert abs(accumulated_rotation_angle(traj) - expected) <= 1e-12 * expected
 
 
 class TestCurveProfile:

@@ -364,10 +364,8 @@ def run_filament_sweep(cfg: RunConfig) -> tuple:
         eta=etas[0], kappa=p["kappa"], kappa_prime=p["kappa-prime"], k0=p["k0"],
         v0=p["v0"], tau=p["tau"], gamma_ref=p["gamma-ref"],
     )
-    # the x roots do not depend on eta: one solve, then one rate rule on the eta column
-    solution = filament.solve_growth_rate(etas[0], params.A, params.B, params.C)
-    columns, dropped, regimes = filament._rates(etas, solution.x_roots)
-    columns += [[None] * len(etas)] * (4 - len(columns))  # re and im of gamma_1, gamma_2
+    # the x roots do not depend on eta: one solve and one rate rule for the whole eta column
+    _, columns, notes, regimes = filament._rates(etas, params.A, params.B, params.C)
     xs = [eta for eta, gamma in zip(etas, columns[0]) if gamma is not None]
     ys = [gamma for gamma in columns[0] if gamma is not None]
     verdict = (filament.classify_dynamo(zip(xs, ys), p["tau"])
@@ -379,7 +377,7 @@ def run_filament_sweep(cfg: RunConfig) -> tuple:
         "m33_at_first_eta": induction.m33,
         "tau": p["tau"],
         "verdict": verdict,
-        "notes": sorted({*solution.notes, *dropped}),
+        "notes": sorted(set(notes)),
     }
     csv_specs = [
         ("sweep", ["eta", "re_gamma_1", "im_gamma_1", "re_gamma_2", "im_gamma_2", "regime"],

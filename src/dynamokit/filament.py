@@ -173,10 +173,13 @@ def _relative_residual(x, a, b, c) -> float:
     return abs(determinant_condition_residual(x, a, b, c)) / scale
 
 
-def _rates(etas, x_roots) -> tuple[list[list], tuple[str, ...], list[str]]:
-    """Re and im columns of the rates eta/x per x root, nonzero roots first: +0.0 where eta = 0,
-    None where x = 0 < eta (the rate diverges: omitted, with a note), then each row's regime.
-    The first bad eta in row order raises: not finite, negative, or eta/x underflowing to 0."""
+def _rates(etas, a, b, c) -> tuple[tuple, list[list], tuple[str, ...], list[str]]:
+    """The x roots of (BA) x^2 + (BAC) x + C = 0 (none if BA = 0); the re and im columns of eta/x
+    per root, nonzero roots first, padded with None to two roots: +0.0 where eta = 0, None where
+    x = 0 < eta (the rate diverges: omitted, with a note); the notes; each row's regime.  The first
+    bad eta in row order raises: not finite, negative, or eta/x underflowing to 0."""
+    ba = b * a
+    x_roots = () if ba == 0.0 else _quadratic_roots(ba, ba * c, c, key=lambda z: (-z.real, -z.imag))
     columns = [[(eta / x if x else None) if eta else 0j for eta in etas]
                for x in sorted(x_roots, key=lambda x: not x)]
     for eta, *rates in zip(etas, *columns):
@@ -188,10 +191,12 @@ def _rates(etas, x_roots) -> tuple[list[list], tuple[str, ...], list[str]]:
     for gs in columns:  # free each complex column once split: it holds 40 B per eta
         parts += [g if g is None else g.real for g in gs], [g if g is None else g.imag for g in gs]
         gs.clear()
+    parts += [[None] * len(etas)] * (4 - len(parts))
     notes = ("x = eta/gamma root at 0 with eta > 0: growth rate diverges, omitted",) * (
-        x_roots.count(0) * any(etas))
-    return parts, notes, [REGIME_DEGENERATE if eta and notes or not x_roots else REGIME_SLOW
-                          for eta in etas]
+        x_roots.count(0) * any(etas)) if x_roots else ("BA = 0: determinant condition reduces "
+        "to C = 0, " + ("identically satisfied" if c == 0.0 else "unsatisfiable"),)
+    return x_roots, parts, notes, [REGIME_DEGENERATE if eta and notes or not x_roots
+                                   else REGIME_SLOW for eta in etas]
 
 
 def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateResult:
@@ -204,15 +209,9 @@ def solve_growth_rate(eta: float, a: float, b: float, c: float) -> GrowthRateRes
     and omitted from the roots.  BA = 0 leaves no quadratic: the condition
     degenerates to C = 0, labelled degenerate either way.
     """
-    ba = b * a
-    x_roots = () if ba == 0.0 else _quadratic_roots(ba, ba * c, c, key=lambda z: (-z.real, -z.imag))
-    parts, notes, (regime,) = _rates((eta,), x_roots)
+    x_roots, parts, notes, (regime,) = _rates((eta,), a, b, c)
     roots = tuple(complex(r, i) for (r,), (i,) in zip(parts[::2], parts[1::2]) if r is not None)
-    if ba == 0.0:
-        notes = ("BA = 0: determinant condition reduces to C = 0, "
-                 + ("identically satisfied" if c == 0.0 else "unsatisfiable"),)
-    # each residual at eta/gamma as returned; with eta = 0 every gamma is 0, so at x itself
-    xs = (eta / gamma for gamma in roots) if eta else x_roots
+    xs = (eta / gamma for gamma in roots) if eta else x_roots  # at x itself when every gamma is 0
     residuals = tuple(_relative_residual(x, a, b, c) for x in xs)
     return GrowthRateResult(roots, regime, residuals, x_roots, notes)
 

@@ -239,12 +239,12 @@ def _checked(path: Path, kind: str, names, columns, place: str) -> list[bool]:
 def write_csv(path: Path, header, *columns) -> None:
     """Write equal-length columns under a header row, quoted as needed.
 
-    Numbers get 17 significant digits, None an empty cell, strings stay as
-    they are.  Unequal columns, a header that does not name each column and a
-    non-finite value raise ValueError before the file opens; the last names
-    the file, column and data row of the first one in row order.  The bytes
-    are csv.writer's, without its module: one row template per table, with a
-    FLOAT_FORMAT slot per numbers-only column and a %s slot, filled by _csv_field, per other.
+    Numbers get 17 significant digits, None an empty cell, strings stay as they are.  Unequal
+    columns, a header that does not name each column and a non-finite value raise ValueError
+    before the file opens; the last names the file, column and data row of the first one in row
+    order.  The bytes are csv.writer's, without its module: one row template per table, with a
+    FLOAT_FORMAT slot per numbers-only column and a %s slot, filled by _csv_field, per other:
+    once per distinct string in a block, each other cell on its own: as keys, 0.0 == -0.0.
     A table of float arrays alone has its cells made by _float_rows instead.
     """
     numeric = _checked(path, "column", header, columns, "data row")
@@ -258,8 +258,10 @@ def write_csv(path: Path, header, *columns) -> None:
             if all(hasattr(block, "dtype") and block.dtype.kind == "f" for block in blocks):
                 fh.write(_float_rows(blocks))
                 continue
+            text = functools.cache(lambda x: _csv_field(x, empty))
             cells = [(block.tolist() if hasattr(block, "dtype") else block) if num else
-                     [_csv_field(x, empty) for x in block] for block, num in zip(blocks, numeric)]
+                     [text(x) if type(x) is str else _csv_field(x, empty) for x in block]
+                     for block, num in zip(blocks, numeric)]
             fh.write("".join(line % row for row in zip(*cells)).encode())
 
 
@@ -316,8 +318,6 @@ def write_svg_polyline(path: Path, xs, ys, *, title: str, x_label: str, y_label:
     if hasattr(xs, "dtype") or hasattr(ys, "dtype"):  # a pair with an array is drawn as arrays
         import numpy as np
         xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-    else:
-        xs, ys = [float(x) for x in xs], [float(y) for y in ys]
     _checked(path, "series", (x_label, y_label), (xs, ys), "point")
     if not len(xs):
         raise ValueError(f"{Path(path).name}: no points to plot")

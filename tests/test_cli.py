@@ -331,9 +331,9 @@ class TestFilamentCommand:
 
     def test_sweep_solves_the_quadratic_once(self, tmp_path, monkeypatch):
         calls = []
-        solve = filament.solve_growth_rate
-        monkeypatch.setattr(filament, "solve_growth_rate",
-                            lambda *args: calls.append(args) or solve(*args))
+        solve = filament._quadratic_roots
+        monkeypatch.setattr(filament, "_quadratic_roots",
+                            lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
         assert run("--command", "filament", "--out", str(tmp_path / "x")) == 0
         assert len(calls) == 1
 

@@ -216,6 +216,7 @@ def test_dir_lists_every_public_name():
     assert set(PUBLIC_NAMES) <= set(listed)
     assert listed == sorted(listed)
     assert "__version__" in listed
+    assert set(dynamokit.__all__) <= set(dir(dynamokit))  # __dir__ in this process too
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__", "derivative_uniform"])

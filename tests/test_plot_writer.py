@@ -74,6 +74,8 @@ def test_stdlib_arrays_write_list_bytes_without_numpy(tmp_path):
         "write_svg_polyline(out + '/m.svg', memoryview(xs), tuple(ys), title='t', x_label='X',\n"
         "                   y_label='Y')\n"
         "write_csv(out + '/a.csv', ['x', 'y'], xs, ys)\n"
+        "write_svg_polyline(out + '/r.svg', range(3000), [round(y) for y in ys], title='t',\n"
+        "                   x_label='X', y_label='Y')\n"
         "print('numpy' in sys.modules)\n"
     )
     (tmp_path / "series.json").write_text(json.dumps([xs, ys]))
@@ -89,3 +91,7 @@ def test_stdlib_arrays_write_list_bytes_without_numpy(tmp_path):
     assert (tmp_path / "a.svg").read_bytes() == plot
     assert (tmp_path / "m.svg").read_bytes() == plot
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "l.csv").read_bytes()
+    # a range x and an int list y plot as the same values as floats
+    write_svg_polyline(tmp_path / "f.svg", [float(i) for i in range(3000)],
+                       [float(round(y)) for y in ys], title="t", x_label="X", y_label="Y")
+    assert (tmp_path / "r.svg").read_bytes() == (tmp_path / "f.svg").read_bytes()

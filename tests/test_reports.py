@@ -238,11 +238,16 @@ class TestWriters:
         floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
         labels = ["slow" if k % 3 else "fast, \"quoted\"" for k in range(rows)]
         maybe = [None if k % 5 == 0 else k / 7.0 for k in range(rows)]
-        write_csv(path, ["n", "x", "label", "maybe"], range(rows), floats, labels, maybe)
+        # repeated texts beside numbers that compare equal but are written apart: only a text
+        # cell may be made once per distinct text in a block
+        regimes = [["slow", "degenerate", ""][k % 3] for k in range(rows)]
+        mixed = [(0.0, -0.0, 1, None)[k % 4] for k in range(rows)]
+        names = ["n", "x", "label", "maybe", "regime", "mixed"]
+        write_csv(path, names, range(rows), floats, labels, maybe, regimes, mixed)
         with open(reference, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["n", "x", "label", "maybe"])
-            for row in zip(range(rows), floats.tolist(), labels, maybe):
+            writer.writerow(names)
+            for row in zip(range(rows), floats.tolist(), labels, maybe, regimes, mixed):
                 writer.writerow([str(cell) if isinstance(cell, (int, str)) else
                                  "" if cell is None else format(cell, ".17g") for cell in row])
         assert path.read_bytes() == reference.read_bytes()
